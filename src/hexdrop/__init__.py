@@ -18,10 +18,9 @@ from .numerics import (
     SeriesDivergenceError,
     adaptive_simpson,
     arcsine_gauss_integral,
-    arcsine_series_coeff,
     q_function,
 )
-from .pathloss import PathLossParams, mean_pathloss, sample_pathloss
+from .pathloss import PathLossParams, mean_pathloss
 from .presets import (
     BUILTIN_PRESETS,
     ChannelPreset,
@@ -35,16 +34,13 @@ from .rng import GENERATOR_LABEL, VariateStream
 from .sampler import (
     marginal_x_cdf,
     marginal_x_pdf,
-    sample_point,
     sample_points,
     sample_x,
     sample_y_given_x,
 )
 from .verify import (
-    DensityCurve,
     DropTable,
     VerifyReport,
-    histogram_compare,
     ks_test,
     run_drop,
     run_verification,
@@ -60,7 +56,6 @@ __all__ = [
     "CellShape",
     "ChannelPreset",
     "ConvolutionTerms",
-    "DensityCurve",
     "DensityModel",
     "DropTable",
     "GENERATOR_LABEL",
@@ -72,11 +67,9 @@ __all__ = [
     "VerifyReport",
     "adaptive_simpson",
     "arcsine_gauss_integral",
-    "arcsine_series_coeff",
     "boundary_radius",
     "convolution_terms",
     "exponent_merge_identity",
-    "histogram_compare",
     "ks_test",
     "load_preset",
     "marginal_x_cdf",
@@ -91,8 +84,6 @@ __all__ = [
     "radial_pdf",
     "run_drop",
     "run_verification",
-    "sample_pathloss",
-    "sample_point",
     "sample_points",
     "sample_x",
     "sample_y_given_x",

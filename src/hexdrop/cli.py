@@ -17,13 +17,7 @@ from .presets import (
     read_presets_file,
     validate_cell_radius,
 )
-from .verify import (
-    DensityCurve,
-    run_drop,
-    run_verification,
-    write_density_csv,
-    write_samples_csv,
-)
+from .verify import run_drop, run_verification, write_density_csv, write_samples_csv
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -111,7 +105,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_pdf(args) -> int:
-    model, preset = _resolve_model(args)
+    model, _ = _resolve_model(args)
     lo, hi = _default_range(model)
     if args.from_db is not None:
         lo = args.from_db
@@ -121,11 +115,6 @@ def _cmd_pdf(args) -> int:
         raise ValueError("need --step > 0 and --to > --from")
     grid = np.arange(lo, hi + args.step / 2.0, args.step)
     closed = np.array([shadowed_pdf(model, float(l)) for l in grid])
-    fingerprint = (
-        f"preset={preset.name} side_m={model.side} alpha_db={model.pathloss.alpha:.6f} "
-        f"beta={model.pathloss.beta} sigma_db={model.pathloss.sigma_psi} r0_m={model.pathloss.r0}"
-    )
-    DensityCurve(abscissa=grid, density=closed, label=preset.name, fingerprint=fingerprint)
     oracle = None
     if args.with_oracle:
         oracle = np.array([shadowed_pdf_conv(model, float(l)) for l in grid])

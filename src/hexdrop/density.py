@@ -135,9 +135,7 @@ def pathloss_pdf(model: DensityModel, w):
     return float(out[0]) if np.ndim(w) == 0 else out
 
 
-def shadowed_pdf(
-    model: DensityModel, l: float, method: str = "quadrature", tol: float = 1e-12
-) -> float:
+def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     """Closed-form density of loss plus shadowing at l dB, per dB.
 
     With terms mu, z_max, z_knee from :func:`convolution_terms`,
@@ -150,9 +148,11 @@ def shadowed_pdf(
                * asin(sqrt(3) L / (2 r0 10^((mu - sqrt(2) sigma v)/beta))) dv
 
     The integral runs through :func:`hexdrop.numerics.arcsine_gauss_integral`
-    with the given method; its limits are clipped to the +-9.5 window where
-    the Gaussian factor is non-negligible, which also keeps the evaluation
-    stable for vanishing sigma.
+    by adaptive quadrature: the arcsine argument reaches 1 at the upper
+    limit, where the series closed form decays only polynomially.  The
+    limits are clipped to the +-9.5 window where the Gaussian factor is
+    non-negligible, which also keeps the evaluation stable for vanishing
+    sigma.
     """
     p = model.pathloss
     t = convolution_terms(model, l)
@@ -173,7 +173,7 @@ def shadowed_pdf(
             lo=lo,
             hi=hi,
         )
-        integral = arcsine_gauss_integral(params, method=method, tol=tol)
+        integral = arcsine_gauss_integral(params, tol=tol)
     else:
         integral = 0.0
 
@@ -290,8 +290,9 @@ def shadowed_cdf(model: DensityModel, l, points: int = 3001):
     """CDF of the shadowed loss, by quadrature of the closed form.
 
     Backed by a cached cumulative table so repeated and vectorised calls
-    (KS tests evaluate it at every sample) stay cheap; the table error is
-    far below 1e-6.  Tends to 0 well below the support knee and reaches
+    (KS tests evaluate it at every sample) stay cheap; with the default
+    3001 nodes, linear interpolation keeps the error below 5e-6 for the
+    builtin presets.  Tends to 0 well below the support knee and reaches
     1 within 1e-6 by 8 sigma above the maximum mean loss.
     """
     grid, cum = _cdf_table(model, points)

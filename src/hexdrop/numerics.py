@@ -121,34 +121,6 @@ def _checked_endpoint_args(p: ArcsineGaussParams) -> tuple[float, float]:
     return min(a_lo, 1.0), min(a_hi, 1.0)
 
 
-def arcsine_series_coeff(n: int, scale: float, offset: float) -> float:
-    """Coefficient C_n of the arcsine-decay series.
-
-    C_0 = 1 and, with y = scale * 10^-offset,
-
-        C_n = (2n-1)! * y^(2n) / (2^(2n-1) * (n-1)! * n! * (2n+1)^2)
-
-    evaluated through log-gamma so large n does not overflow.  These are
-    the Taylor coefficients of asin(y)/y integrated once, i.e.
-    C_n = asin-coefficient_n * y^(2n) / (2n+1).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1.0
-    y = scale * 10.0 ** (-offset)
-    if y == 0.0:
-        return 0.0
-    return math.exp(
-        lgamma(2 * n)
-        + 2 * n * math.log(y)
-        - (2 * n - 1) * math.log(2.0)
-        - lgamma(n)
-        - lgamma(n + 1)
-        - 2.0 * math.log(2 * n + 1)
-    )
-
-
 def _log_asin_taylor_coeff(n: int) -> float:
     # log of (2n)! / (4^n * (n!)^2 * (2n+1)), the asin Taylor coefficient
     return lgamma(2 * n + 1) - 2 * n * math.log(2.0) - 2 * lgamma(n + 1) - math.log(2 * n + 1)

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import VariateStream
-
 
 @dataclass(frozen=True)
 class PathLossParams:
@@ -71,11 +69,3 @@ def mean_pathloss(params: PathLossParams, r):
         raise ValueError("distance must be positive")
     w = params.alpha + params.beta * np.log10(arr / params.r0)
     return float(w) if np.ndim(r) == 0 else w
-
-
-def sample_pathloss(params: PathLossParams, r, stream: VariateStream):
-    """Mean loss plus one shadowing draw per distance, in dB."""
-    w = mean_pathloss(params, r)
-    if np.ndim(r) == 0:
-        return w + params.sigma_psi * stream.normal()
-    return w + params.sigma_psi * stream.normals(len(w))

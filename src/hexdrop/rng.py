@@ -14,22 +14,13 @@ class VariateStream:
     Backed by numpy's PCG64 (64-bit seedable, period 2**128).  Uniforms are
     drawn from the open interval (0, 1): an exact 0.0 (probability 2**-53
     per draw) is redrawn, and numpy never returns 1.0, so inverse transforms
-    downstream never evaluate at a support endpoint.
-
-    A stream is single-threaded state; for parallel work give each worker
-    its own stream via :meth:`split`.
+    downstream never evaluate at a support endpoint.  A stream is
+    single-threaded state.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self) -> float:
-        """One draw from U(0, 1), endpoints excluded."""
-        u = self._rng.random()
-        while u == 0.0:
-            u = self._rng.random()
-        return float(u)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n draws from the open unit interval."""
@@ -40,13 +31,5 @@ class VariateStream:
             zero = u == 0.0
         return u
 
-    def normal(self) -> float:
-        """One standard normal draw."""
-        return float(self._rng.standard_normal())
-
     def normals(self, n: int) -> np.ndarray:
         return self._rng.standard_normal(int(n))
-
-    def split(self, offset: int) -> "VariateStream":
-        """Fresh stream at a fixed seed offset, for independent workers."""
-        return VariateStream(self.seed + int(offset))

@@ -77,18 +77,11 @@ def sample_y_given_x(geom: CellGeometry, x0, u):
     return float(y) if scalar else y
 
 
-def sample_point(geom: CellGeometry, stream: VariateStream) -> tuple[float, float]:
-    """One point uniform over the contour (two stream draws)."""
-    x = sample_x(geom, stream.uniform())
-    y = sample_y_given_x(geom, x, stream.uniform())
-    return x, y
-
-
 def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarray:
     """n uniform points as an (n, 2) array.
 
     Draws n x-uniforms then n y-uniforms as blocks, so the result for a
-    given seed is reproducible but differs from n single-point calls.
+    given seed is reproducible.
     """
     ux = stream.uniforms(n)
     x = sample_x(geom, ux)

@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .density import DensityModel, shadowed_cdf
-from .geometry import CellGeometry, chord_y_bounds, point_in_shape
+from .geometry import CellGeometry, chord_y_bounds
 from .pathloss import PathLossParams, mean_pathloss
 from .rng import GENERATOR_LABEL, VariateStream
 from .sampler import marginal_x_cdf, sample_points
@@ -44,9 +44,6 @@ class DropTable:
     def __len__(self) -> int:
         return len(self.x)
 
-    def write_csv(self, path: str | Path) -> None:
-        write_samples_csv(path, self)
-
 
 def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropTable:
     """Drop n terminals and tabulate (x, y, r, mean loss, shadowing, loss).
@@ -64,19 +61,20 @@ def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropT
     return DropTable(x=xy[:, 0], y=xy[:, 1], r=r, w=w, psi=psi, lp=w + psi)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _write_columns(path: str | Path, header: str, columns) -> None:
+    """Write equal-length float columns as CSV rows, each value as repr(float)."""
+    values = [np.asarray(c, dtype=float).tolist() for c in columns]
+    if len({len(v) for v in values}) != 1:
+        raise ValueError(f"columns differ in length: {[len(v) for v in values]}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(map(repr, v) for v in values)):
+            fh.write(",".join(row) + "\n")
 
 
 def write_samples_csv(path: str | Path, table: DropTable) -> None:
-    lines = ["x_m,y_m,r_m,w_db,psi_db,lp_db"]
-    for i in range(len(table)):
-        lines.append(
-            ",".join(
-                _fmt(c[i]) for c in (table.x, table.y, table.r, table.w, table.psi, table.lp)
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    columns = (table.x, table.y, table.r, table.w, table.psi, table.lp)
+    _write_columns(path, "x_m,y_m,r_m,w_db,psi_db,lp_db", columns)
 
 
 @dataclass(frozen=True)
@@ -144,95 +142,19 @@ def spatial_chi_square(
     n = counts.sum()
     expected = n / counts.size
     statistic = float(np.sum((counts - expected) ** 2) / expected)
-    critical = float(stats.chi2.ppf(1.0 - significance, counts.size - 1))
+    # the chi-square quantile at 1 - significance, as scipy.stats.chi2.ppf
+    # computes it, without importing scipy.stats
+    critical = float(2.0 * special.gammaincinv((counts.size - 1) / 2, 1.0 - significance))
     return ChiSquareResult(
         statistic=statistic, bins=counts.size, critical=critical, passed=statistic < critical
     )
 
 
-@dataclass
-class HistogramReport:
-    edges: np.ndarray
-    observed: np.ndarray
-    expected: np.ndarray
-    flagged: np.ndarray
-    passed: bool
-
-
-def histogram_compare(
-    samples: np.ndarray, pdf, bins: int, lo: float | None = None, hi: float | None = None
-) -> HistogramReport:
-    """Compare a histogram of samples against a density.
-
-    Expected counts come from the density integrated over each bin
-    (Simpson on a fine sub-grid); a bin is flagged when its count misses
-    the expectation by more than three Poisson standard deviations, and
-    the report passes when at most 1% of bins are flagged.  The range
-    defaults to the sample range.
-    """
-    if bins < 10:
-        raise ValueError(f"need at least 10 bins, got {bins}")
-    s = np.asarray(samples, dtype=float)
-    if lo is None:
-        lo = float(s.min())
-    if hi is None:
-        hi = float(s.max())
-    edges = np.linspace(lo, hi, bins + 1)
-    observed = np.histogram(s, bins=edges)[0].astype(float)
-
-    sub = 8  # Simpson points per bin
-    expected = np.empty(bins)
-    for i in range(bins):
-        grid = np.linspace(edges[i], edges[i + 1], 2 * sub + 1)
-        vals = np.asarray(pdf(grid), dtype=float)
-        h = grid[1] - grid[0]
-        expected[i] = h / 3.0 * (
-            vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()
-        )
-    expected *= len(s)
-
-    flagged = np.abs(observed - expected) > 3.0 * np.sqrt(expected)
-    return HistogramReport(
-        edges=edges,
-        observed=observed,
-        expected=expected,
-        flagged=flagged,
-        passed=bool(flagged.sum() <= 0.01 * bins),
-    )
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    """A tabulated density with provenance metadata."""
-
-    abscissa: np.ndarray
-    density: np.ndarray
-    label: str
-    fingerprint: str
-
-    def __post_init__(self):
-        a = np.asarray(self.abscissa, dtype=float)
-        d = np.asarray(self.density, dtype=float)
-        if len(a) != len(d):
-            raise ValueError("abscissa and density must have equal length")
-        if not (np.diff(a) > 0.0).all():
-            raise ValueError("abscissa must be strictly increasing")
-        if (d < 0.0).any():
-            raise ValueError("densities must be nonnegative")
-
-    def trapezoid_mass(self) -> float:
-        return float(np.trapezoid(self.density, self.abscissa))
-
-
 def write_density_csv(path: str | Path, l: np.ndarray, f_closed: np.ndarray, f_oracle=None) -> None:
-    header = "l_db,f_closed" + (",f_oracle" if f_oracle is not None else "")
-    lines = [header]
-    for i in range(len(l)):
-        row = [_fmt(l[i]), _fmt(f_closed[i])]
-        if f_oracle is not None:
-            row.append(_fmt(f_oracle[i]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    if f_oracle is None:
+        _write_columns(path, "l_db,f_closed", (l, f_closed))
+    else:
+        _write_columns(path, "l_db,f_closed,f_oracle", (l, f_closed, f_oracle))
 
 
 @dataclass
@@ -284,8 +206,3 @@ def run_verification(
         passed=ks.passed and chi2.passed,
     )
     return report, table
-
-
-def containment_fraction(geom: CellGeometry, xy: np.ndarray) -> float:
-    """Fraction of points inside the contour (boundary included)."""
-    return float(np.mean(point_in_shape(geom, xy)))

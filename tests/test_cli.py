@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hexdrop
 from hexdrop.cli import main
 
 
@@ -162,3 +168,49 @@ def test_verify_gnuplot_outputs(tmp_path):
     assert (tmp_path / "v_samples.csv").exists()
     assert (tmp_path / "v_curve.csv").exists()
     assert (tmp_path / "v.gp").exists()
+
+
+# SHA-256 of the files each command writes, recorded with Python 3.11.7,
+# numpy 2.4.6 and scipy 1.17.1.  Outputs are byte-identical for the same
+# arguments, so any change to these bytes is a change of behaviour.
+GOLDEN = [
+    (
+        ["sample", "--side", "1000", "--count", "500", "--seed", "42", "--out", "sample.csv"],
+        {"sample.csv": "3cc39ea192689055091ac6bc40331c0b7da5fca33fb62a3ce14db43010d486ad"},
+    ),
+    (
+        ["pdf", "--preset", "urban-macro", "--side", "1000", "--from", "120", "--to", "150",
+         "--step", "1", "--out", "pdf.csv"],
+        {"pdf.csv": "96c45dbcc8726623e9f3f255ea55e0c917f99badda4d3c103837e6a557532b47"},
+    ),
+    (
+        ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
+         "--step", "1", "--with-oracle", "--out", "pdf.csv"],
+        {"pdf.csv": "15408785df580527fce2d5301bdabd244a8d110725f82011cc50a19cbf3a03f8"},
+    ),
+    (
+        ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
+         "--report", "report.json"],
+        {
+            "report.json": "705e5f095222cb95437b359a001a376296cb224a1252502b4d5ec1c147b1b80f",
+            "report_samples.csv": "fd8884e624c126be75067675912a7bd1243b9e000628cb1ba0a132fd52d8d0cc",
+            "report_curve.csv": "55bb36f2ba52ea0aabbb3cc02a42610d40104988d0b5026602f251d68b24e11c",
+            "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digests", GOLDEN, ids=[g[0][0] + str(i) for i, g in enumerate(GOLDEN)])
+def test_golden_bytes(tmp_path, monkeypatch, argv, digests):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
+
+
+def test_cli_import_skips_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdrop.__file__).resolve().parents[1]))
+    code = "import sys, hexdrop.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

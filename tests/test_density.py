@@ -15,6 +15,7 @@ from hexdrop import (
     shadowed_pdf,
     shadowed_pdf_conv,
 )
+from hexdrop.density import _cdf_table
 
 from conftest import PRESET_CASES, preset_model
 
@@ -153,17 +154,6 @@ def test_oracle_normalizes():
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
-def test_series_method_tracks_quadrature_method():
-    # the arcsine argument reaches 1 at the upper limit for every l, so the
-    # series tail is polynomial there; agreement is looser than in the
-    # admissible-argument regime
-    m = preset_model("urban-macro", 1000.0)
-    for l in np.linspace(m.knee_loss_db - 10.0, m.max_loss_db + 10.0, 7):
-        quad_val = shadowed_pdf(m, float(l))
-        series_val = shadowed_pdf(m, float(l), method="series")
-        assert series_val == pytest.approx(quad_val, rel=1e-3)
-
-
 def test_degenerate_sigma_reduces_to_pathloss_pdf():
     pre = preset_model("urban-macro", 1000.0).pathloss
     m = DensityModel(1000.0, PathLossParams(pre.alpha, pre.beta, pre.r0, 1e-6))
@@ -217,6 +207,16 @@ def test_cdf_monotone_and_saturates():
     assert shadowed_cdf(m, m.knee_loss_db - 4.5 * m.pathloss.beta - 8.0 * sig) == pytest.approx(
         0.0, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("name, side", [("urban-micro-los", 250.0), ("urban-macro", 1000.0)])
+def test_cdf_table_error_bound(name, side):
+    # the documented bound: the default 3001-node table, read by linear
+    # interpolation, stays within 5e-6 of a 12001-node table at its nodes
+    m = preset_model(name, side)
+    fine_grid, fine_cum = _cdf_table(m, 12001)
+    err = np.max(np.abs(shadowed_cdf(m, fine_grid) - fine_cum))
+    assert err < 5e-6
 
 
 def test_cdf_median_against_independent_convolution():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hexdrop import PathLossParams, VariateStream, mean_pathloss, sample_pathloss
+from hexdrop import PathLossParams, mean_pathloss
 
 
 def test_parameter_validation():
@@ -60,26 +60,3 @@ def test_intercept_round_trip_and_invariance():
         r = rng.uniform(1.0, 4000.0)
         direct = ap + beta * math.log10(r)
         assert mean_pathloss(p, r) == pytest.approx(direct, rel=1e-12)
-
-
-def test_sample_pathloss_degenerate_sigma():
-    p = PathLossParams(alpha=90.0, beta=35.0, r0=35.0, sigma_psi=0.0)
-    s = VariateStream(3)
-    for r in (50.0, 400.0, 900.0):
-        assert sample_pathloss(p, r, s) == mean_pathloss(p, r)
-
-
-def test_sample_pathloss_moments():
-    p = PathLossParams(alpha=90.0, beta=35.0, r0=35.0, sigma_psi=10.0)
-    n = 100_000
-    draws = sample_pathloss(p, np.full(n, 200.0), VariateStream(21))
-    w = mean_pathloss(p, 200.0)
-    assert abs(draws.mean() - w) < 3.0 * 10.0 / math.sqrt(n)
-    assert abs(draws.std() - 10.0) < 0.15
-
-
-def test_sample_pathloss_reproducible():
-    p = PathLossParams(alpha=90.0, beta=35.0, r0=35.0, sigma_psi=10.0)
-    a = sample_pathloss(p, np.full(100, 150.0), VariateStream(77))
-    b = sample_pathloss(p, np.full(100, 150.0), VariateStream(77))
-    assert np.array_equal(a, b)

@@ -11,7 +11,6 @@ from hexdrop import (
     marginal_x_cdf,
     marginal_x_pdf,
     point_in_shape,
-    sample_point,
     sample_points,
     sample_x,
     sample_y_given_x,
@@ -137,7 +136,12 @@ def test_points_contained_and_scalar_path_agrees(shape):
     stream = VariateStream(9)
     pts = sample_points(geom, stream, 20_000)
     assert point_in_shape(geom, pts).all()
-    x, y = sample_point(geom, VariateStream(9))
+    # one point from the scalar inverses matches a one-point array drop
+    ux, uy = VariateStream(9).uniforms(2)
+    x = sample_x(geom, float(ux))
+    y = sample_y_given_x(geom, x, float(uy))
+    assert isinstance(x, float) and isinstance(y, float)
+    assert (x, y) == tuple(sample_points(geom, VariateStream(9), 1)[0])
     assert point_in_shape(geom, (x, y))
 
 

@@ -7,12 +7,9 @@ import pytest
 from hexdrop import (
     CellGeometry,
     CellShape,
-    DensityCurve,
     VariateStream,
-    histogram_compare,
     ks_test,
     load_preset,
-    marginal_x_pdf,
     point_in_shape,
     run_drop,
     run_verification,
@@ -20,7 +17,7 @@ from hexdrop import (
     shadowed_cdf,
     spatial_chi_square,
 )
-from hexdrop.verify import VerifyReport, equal_area_bin_counts, write_samples_csv
+from hexdrop.verify import VerifyReport, equal_area_bin_counts, write_density_csv, write_samples_csv
 
 from conftest import ALL_SHAPES, PRESET_CASES, preset_model
 
@@ -73,6 +70,16 @@ def test_samples_csv_bytes_deterministic(tmp_path):
     assert header == "x_m,y_m,r_m,w_db,psi_db,lp_db"
 
 
+def test_density_csv_rejects_unequal_columns(tmp_path):
+    out = tmp_path / "d.csv"
+    l = np.linspace(100.0, 110.0, 11)
+    with pytest.raises(ValueError):
+        write_density_csv(out, l, np.ones(12))
+    with pytest.raises(ValueError):
+        write_density_csv(out, l, np.ones(11), np.ones(10))
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ KS test
 
 
@@ -119,63 +126,6 @@ def test_spatial_chi_square_rejects_zeroed_y():
     res = spatial_chi_square(geom, pts)
     assert not res.passed
     assert res.statistic > 10.0 * res.critical
-
-
-# -------------------------------------------------------- histogram compare
-
-
-def test_histogram_against_marginal():
-    # 18000 samples over the unit hexagon leaves ~450 per plateau bin,
-    # enough for the 3-sigma band to be tight
-    geom = CellGeometry(CellShape.HEXAGON, 1.0)
-    pts = sample_points(geom, VariateStream(55), 18_000)
-    report = histogram_compare(
-        pts[:, 0], lambda x: marginal_x_pdf(geom, x), bins=40, lo=-1.0, hi=1.0
-    )
-    assert report.passed
-    assert report.flagged.sum() == 0
-    # central plateau of the x marginal sits at 2/(3L)
-    mid = np.abs(0.5 * (report.edges[:-1] + report.edges[1:])) < 0.5
-    width = report.edges[1] - report.edges[0]
-    plateau = report.expected[mid] / (len(pts) * width)
-    assert np.allclose(plateau, 2.0 / 3.0, rtol=1e-9)
-
-
-def test_histogram_empty_edge_bins_unflagged():
-    geom = CellGeometry(CellShape.HEXAGON, 1.0)
-    pts = sample_points(geom, VariateStream(56), 2000)
-    report = histogram_compare(
-        pts[:, 0], lambda x: marginal_x_pdf(geom, x), bins=30, lo=-1.5, hi=1.5
-    )
-    outside = (report.edges[1:] <= -1.0) | (report.edges[:-1] >= 1.0)
-    assert (report.observed[outside] == 0).all()
-    assert not report.flagged[outside].any()
-
-
-def test_histogram_needs_ten_bins():
-    with pytest.raises(ValueError):
-        histogram_compare(np.zeros(10), lambda x: x, bins=5)
-
-
-def test_histogram_flags_wrong_density():
-    geom = CellGeometry(CellShape.HEXAGON, 1.0)
-    pts = sample_points(geom, VariateStream(57), 18_000)
-    wrong = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)  # uniform on [-1, 1]
-    report = histogram_compare(pts[:, 0], wrong, bins=40, lo=-1.0, hi=1.0)
-    assert not report.passed
-
-
-# ------------------------------------------------------------ density curve
-
-
-def test_density_curve_invariants():
-    l = np.linspace(0.0, 10.0, 11)
-    with pytest.raises(ValueError):
-        DensityCurve(abscissa=l[::-1], density=np.ones(11), label="x", fingerprint="y")
-    with pytest.raises(ValueError):
-        DensityCurve(abscissa=l, density=-np.ones(11), label="x", fingerprint="y")
-    curve = DensityCurve(abscissa=l, density=np.full(11, 0.1), label="x", fingerprint="y")
-    assert curve.trapezoid_mass() == pytest.approx(1.0, rel=1e-12)
 
 
 # ------------------------------------------------------------- verification
