@@ -2,9 +2,7 @@
 density of path loss with log-normal shadowing."""
 
 from .density import (
-    ConvolutionTerms,
     DensityModel,
-    convolution_terms,
     exponent_merge_identity,
     pathloss_pdf,
     shadowed_cdf,
@@ -29,15 +27,9 @@ from .presets import (
     preset_names,
     validate_cell_radius,
 )
-from .radial import boundary_radius, polar_joint_pdf, radial_cdf, radial_pdf
+from .radial import radial_cdf, radial_pdf
 from .rng import GENERATOR_LABEL, VariateStream
-from .sampler import (
-    marginal_x_cdf,
-    marginal_x_pdf,
-    sample_points,
-    sample_x,
-    sample_y_given_x,
-)
+from .sampler import marginal_x_cdf, sample_points, sample_x, sample_y_given_x
 from .verify import (
     DropTable,
     VerifyReport,
@@ -55,7 +47,6 @@ __all__ = [
     "CellGeometry",
     "CellShape",
     "ChannelPreset",
-    "ConvolutionTerms",
     "DensityModel",
     "DropTable",
     "GENERATOR_LABEL",
@@ -67,17 +58,13 @@ __all__ = [
     "VerifyReport",
     "adaptive_simpson",
     "arcsine_gauss_integral",
-    "boundary_radius",
-    "convolution_terms",
     "exponent_merge_identity",
     "ks_test",
     "load_preset",
     "marginal_x_cdf",
-    "marginal_x_pdf",
     "mean_pathloss",
     "pathloss_pdf",
     "point_in_shape",
-    "polar_joint_pdf",
     "preset_names",
     "q_function",
     "radial_cdf",

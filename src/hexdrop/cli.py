@@ -120,18 +120,22 @@ def _cmd_pdf(args) -> int:
         oracle = np.array([shadowed_pdf_conv(model, float(l)) for l in grid])
     write_density_csv(args.out, grid, closed, oracle)
     if args.gnuplot:
-        _write_pdf_gnuplot(Path(args.out), with_oracle=args.with_oracle)
+        csv_path = Path(args.out)
+        plot = f"plot '{csv_path.name}' every ::1 using 1:2 with lines title 'closed form'"
+        if args.with_oracle:
+            plot += f", '{csv_path.name}' every ::1 using 1:3 with points title 'convolution'"
+        _write_gnuplot(csv_path.with_suffix(csv_path.suffix + ".gp"), [], [plot])
     return EXIT_OK
 
 
-def _write_pdf_gnuplot(csv_path: Path, with_oracle: bool) -> None:
-    script = csv_path.with_suffix(csv_path.suffix + ".gp")
+def _write_gnuplot(script: Path, setup: list[str], plot: list[str]) -> None:
+    """Write a loss-density gnuplot script: setup lines, axis labels, then plot lines."""
     lines = [
         "set datafile separator ','",
+        *setup,
         "set xlabel 'path loss [dB]'",
         "set ylabel 'density [1/dB]'",
-        f"plot '{csv_path.name}' every ::1 using 1:2 with lines title 'closed form'"
-        + (f", '{csv_path.name}' every ::1 using 1:3 with points title 'convolution'" if with_oracle else ""),
+        *plot,
     ]
     script.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -150,24 +154,15 @@ def _cmd_verify(args) -> int:
         grid = np.linspace(lo, hi, 801)
         closed = np.array([shadowed_pdf(model, float(l)) for l in grid])
         write_density_csv(curve_csv, grid, closed)
-        script = stem.with_suffix(".gp")
-        script.write_text(
-            "\n".join(
-                [
-                    "set datafile separator ','",
-                    "binwidth = 1.0",
-                    "bin(x) = binwidth*floor(x/binwidth) + binwidth/2",
-                    "set xlabel 'path loss [dB]'",
-                    "set ylabel 'density [1/dB]'",
-                    f"n = {report.count}",
-                    f"plot '{samples_csv.name}' every ::1 using (bin($6)):(1.0/(n*binwidth)) "
-                    "smooth freq with boxes title 'simulated', \\",
-                    f"     '{curve_csv.name}' every ::1 using 1:2 with lines title 'closed form'",
-                ]
-            )
-            + "\n",
-            encoding="utf-8",
-            newline="\n",
+        _write_gnuplot(
+            stem.with_suffix(".gp"),
+            ["binwidth = 1.0", "bin(x) = binwidth*floor(x/binwidth) + binwidth/2"],
+            [
+                f"n = {report.count}",
+                f"plot '{samples_csv.name}' every ::1 using (bin($6)):(1.0/(n*binwidth)) "
+                "smooth freq with boxes title 'simulated', \\",
+                f"     '{curve_csv.name}' every ::1 using 1:2 with lines title 'closed form'",
+            ],
         )
     print(
         f"{preset.name} {geom.shape.value} side={geom.side} n={report.count} seed={report.seed}: "
@@ -203,7 +198,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UnknownPresetError, ValueError) as exc:
+    # bad input or an unwritable output path is a usage error, not a failed verification
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

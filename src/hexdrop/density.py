@@ -35,6 +35,10 @@ GAUSS_REACH = 9.5
 # 2*ln10/beta per dB; 4.5*beta below its knee the remaining mass is ~1e-9.
 LOWER_TAIL_DECADES = 4.5
 
+# Nodes of the cumulative table behind shadowed_cdf; odd, so that
+# Simpson panels tile the grid.
+CDF_POINTS = 3001
+
 
 @dataclass(frozen=True)
 class DensityModel:
@@ -68,33 +72,6 @@ class DensityModel:
     def max_loss_db(self) -> float:
         p = self.pathloss
         return p.alpha + p.beta * math.log10(self.side / p.r0)
-
-
-@dataclass(frozen=True)
-class ConvolutionTerms:
-    """Per-loss quantities entering the closed form.
-
-    mu      excess loss shifted by the square-completion offset,
-            l - alpha + 2*ln10*sigma^2/beta
-    z_max   (mu - beta*log10(L/r0)) / sigma, the shifted excess measured
-            against the maximum mean loss
-    z_knee  (mu - beta*log10(sqrt(3)L/(2 r0))) / sigma, measured against
-            the knee; always exceeds z_max
-    """
-
-    mu: float
-    z_max: float
-    z_knee: float
-
-
-def convolution_terms(model: DensityModel, l: float) -> ConvolutionTerms:
-    p = model.pathloss
-    if not p.sigma_psi > 0.0:
-        raise ValueError("shadowing deviation must be positive")
-    mu = l - p.alpha + 2.0 * LN10 * p.sigma_psi**2 / p.beta
-    z_max = (mu - p.beta * math.log10(model.side / p.r0)) / p.sigma_psi
-    z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / p.sigma_psi
-    return ConvolutionTerms(mu=mu, z_max=z_max, z_knee=z_knee)
 
 
 def pathloss_pdf(model: DensityModel, w):
@@ -138,7 +115,10 @@ def pathloss_pdf(model: DensityModel, w):
 def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     """Closed-form density of loss plus shadowing at l dB, per dB.
 
-    With terms mu, z_max, z_knee from :func:`convolution_terms`,
+    With mu = l - alpha + 2*ln10*sigma^2/beta (the excess loss shifted by
+    the square-completion offset) and its distances in sigma from the
+    maximum mean loss and from the knee, z_max = (mu - beta*log10(L/r0))
+    / sigma and z_knee = (mu - beta*log10(sqrt(3)L/(2 r0))) / sigma > z_max,
 
         f(l) = K(l) * [ pi*Q(z_knee) - (2 pi / 3)*Q(z_max)
                         + (2/sqrt(pi)) * I ]
@@ -155,20 +135,24 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     sigma.
     """
     p = model.pathloss
-    t = convolution_terms(model, l)
     sigma = p.sigma_psi
+    if not sigma > 0.0:
+        raise ValueError("shadowing deviation must be positive")
+    mu = l - p.alpha + 2.0 * LN10 * sigma**2 / p.beta
+    z_max = (mu - p.beta * math.log10(model.side / p.r0)) / sigma
+    z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
     L2 = model.side * model.side
 
     prefactor = (4.0 * p.r0 * p.r0 * LN10 / (SQRT3 * L2 * p.beta)) * 10.0 ** (
         2.0 * (LN10 * sigma * sigma + p.beta * (l - p.alpha)) / (p.beta * p.beta)
     )
 
-    lo = max(t.z_max / math.sqrt(2.0), -GAUSS_REACH)
-    hi = min(t.z_knee / math.sqrt(2.0), GAUSS_REACH)
+    lo = max(z_max / math.sqrt(2.0), -GAUSS_REACH)
+    hi = min(z_knee / math.sqrt(2.0), GAUSS_REACH)
     if hi > lo:
         params = ArcsineGaussParams(
             scale=SQRT3 * model.side / (2.0 * p.r0),
-            offset=t.mu / p.beta,
+            offset=mu / p.beta,
             slope=-math.sqrt(2.0) * sigma / p.beta,
             lo=lo,
             hi=hi,
@@ -178,8 +162,8 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
         integral = 0.0
 
     bracket = (
-        math.pi * q_function(t.z_knee)
-        - (2.0 * math.pi / 3.0) * q_function(t.z_max)
+        math.pi * q_function(z_knee)
+        - (2.0 * math.pi / 3.0) * q_function(z_max)
         + (2.0 / math.sqrt(math.pi)) * integral
     )
     return prefactor * bracket
@@ -265,36 +249,34 @@ def _cdf_table(model: DensityModel, points: int) -> tuple[np.ndarray, np.ndarray
 
     Composite Simpson over a grid wide enough that the truncated mass is
     below 1e-9 on both sides (4.5 decades of the exponential lower tail
-    plus 8 sigma of Gaussian spread).
+    plus 8 sigma of Gaussian spread).  points must be odd, so that the
+    Simpson panels tile the grid.
     """
     p = model.pathloss
     lower = model.knee_loss_db - LOWER_TAIL_DECADES * p.beta - 8.0 * p.sigma_psi
     upper = model.max_loss_db + 8.0 * p.sigma_psi
-    if points % 2 == 0:
-        points += 1
     grid = np.linspace(lower, upper, points)
     f = np.array([shadowed_pdf(model, float(x)) for x in grid])
     h = grid[1] - grid[0]
+    f0, f1, f2 = f[:-2:2], f[1::2], f[2::2]
     cum = np.empty_like(grid)
     cum[0] = 0.0
     # Simpson over each point pair: the even points close a full panel,
     # the odd points take the quadratic sub-panel through (f0, f1, f2).
-    for i in range(0, points - 2, 2):
-        f0, f1, f2 = f[i], f[i + 1], f[i + 2]
-        cum[i + 1] = cum[i] + h * (5.0 * f0 + 8.0 * f1 - f2) / 12.0
-        cum[i + 2] = cum[i] + h * (f0 + 4.0 * f1 + f2) / 3.0
+    cum[2::2] = np.cumsum(h * (f0 + 4.0 * f1 + f2) / 3.0)
+    cum[1::2] = cum[:-2:2] + h * (5.0 * f0 + 8.0 * f1 - f2) / 12.0
     return grid, cum
 
 
-def shadowed_cdf(model: DensityModel, l, points: int = 3001):
+def shadowed_cdf(model: DensityModel, l):
     """CDF of the shadowed loss, by quadrature of the closed form.
 
     Backed by a cached cumulative table so repeated and vectorised calls
-    (KS tests evaluate it at every sample) stay cheap; with the default
-    3001 nodes, linear interpolation keeps the error below 5e-6 for the
+    (KS tests evaluate it at every sample) stay cheap; with CDF_POINTS
+    nodes, linear interpolation keeps the error below 5e-6 for the
     builtin presets.  Tends to 0 well below the support knee and reaches
     1 within 1e-6 by 8 sigma above the maximum mean loss.
     """
-    grid, cum = _cdf_table(model, points)
+    grid, cum = _cdf_table(model, CDF_POINTS)
     vals = np.interp(np.asarray(l, dtype=float), grid, cum)
     return float(vals) if np.ndim(l) == 0 else vals

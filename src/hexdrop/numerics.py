@@ -166,9 +166,7 @@ def _series_value(p: ArcsineGaussParams, tol: float) -> float:
     return total
 
 
-def _quadrature_value(p: ArcsineGaussParams, tol: float) -> float:
-    arg_lo, arg_hi = _checked_endpoint_args(p)
-
+def _quadrature_value(p: ArcsineGaussParams, arg_lo: float, arg_hi: float, tol: float) -> float:
     def integrand(x: float) -> float:
         a = p.scale * 10.0 ** (-(p.offset + p.slope * x))
         return math.exp(-x * x) * math.asin(min(a, 1.0))
@@ -179,8 +177,6 @@ def _quadrature_value(p: ArcsineGaussParams, tol: float) -> float:
     # The arcsine derivative blows up as the argument reaches 1 at one
     # endpoint; substituting x = end -/+ s^2 restores a smooth integrand.
     width = p.hi - p.lo
-    if width == 0.0:
-        return 0.0
     if arg_hi >= arg_lo:
         g = lambda s: 2.0 * s * integrand(p.hi - s * s)
     else:
@@ -202,15 +198,14 @@ def arcsine_gauss_integral(
     """
     if p.scale == 0.0:
         return 0.0
-    _checked_endpoint_args(p)
+    arg_lo, arg_hi = _checked_endpoint_args(p)
     if p.lo == p.hi:
         return 0.0
     if p.slope == 0.0:
         # constant arcsine factor times the Gaussian mass of the interval
-        a = min(float(p.argument(p.lo)), 1.0)
-        return math.asin(a) * 0.5 * SQRT_PI * (special.erf(p.hi) - special.erf(p.lo))
+        return math.asin(arg_lo) * 0.5 * SQRT_PI * (special.erf(p.hi) - special.erf(p.lo))
     if method == "quadrature":
-        return _quadrature_value(p, tol)
+        return _quadrature_value(p, arg_lo, arg_hi, tol)
     if method == "series":
         return _series_value(p, tol)
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'series'")

@@ -32,11 +32,6 @@ class PathLossParams:
             raise ValueError(f"sigma_psi must be nonnegative, got {self.sigma_psi}")
 
     @property
-    def exponent(self) -> float:
-        """Loss exponent n, with beta = 10n."""
-        return self.beta / 10.0
-
-    @property
     def alpha_prime(self) -> float:
         """Intercept with r measured in metres: alpha - beta*log10(r0)."""
         return self.alpha - self.beta * math.log10(self.r0)
@@ -51,8 +46,6 @@ class PathLossParams:
         alpha = alpha_prime + beta*log10(r0) leaves the mean loss at any
         distance unchanged.
         """
-        if not beta > 0.0:
-            raise ValueError(f"beta must be positive, got {beta}")
         if not r0 > 0.0:
             raise ValueError(f"r0 must be positive, got {r0}")
         return cls(alpha_prime + beta * math.log10(r0), beta, r0, sigma_psi)

@@ -9,13 +9,12 @@ its propagation model was fitted for.  The assumed carrier frequency,
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .density import DensityModel
 from .pathloss import PathLossParams
-
-CARRIER_FREQUENCY_GHZ = 1.9
 
 
 class UnknownPresetError(ValueError):
@@ -78,17 +77,30 @@ def validate_cell_radius(preset: ChannelPreset, side: float) -> bool:
 
 
 def read_presets_file(path: str | Path) -> dict[str, ChannelPreset]:
-    """Load presets from a JSON file (a list of preset objects)."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load presets from a JSON file (a list of preset objects).
+
+    Raises ValueError, naming the file and the entry at fault, unless the
+    file holds objects with exactly the ChannelPreset fields: text for
+    name and model_label, a finite int or float (not bool) for the others.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read presets file {path}: {exc}") from None
+    if not isinstance(data, list):
+        raise ValueError(f"presets file {path}: expected a list of presets")
+    keys = [f.name for f in fields(ChannelPreset)]
     presets = {}
-    for entry in data:
+    for i, entry in enumerate(data):
+        where = f"presets file {path}, entry {i}"
+        if not isinstance(entry, dict) or sorted(entry) != sorted(keys):
+            raise ValueError(f"{where}: expected an object with exactly the keys {keys}")
+        for key, value in entry.items():
+            kind = str if key in ("name", "model_label") else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{where}: {key} has the wrong type ({value!r})")
+            if kind is not str and not math.isfinite(value):
+                raise ValueError(f"{where}: {key} is not finite ({value!r})")
         preset = ChannelPreset(**entry)
         presets[preset.name] = preset
     return presets
-
-
-def write_presets_file(path: str | Path, presets: dict[str, ChannelPreset] | None = None) -> None:
-    """Serialise presets (builtin by default) to the JSON preset format."""
-    table = BUILTIN_PRESETS if presets is None else presets
-    payload = [asdict(p) for p in table.values()]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

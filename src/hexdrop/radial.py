@@ -18,38 +18,12 @@ import math
 import numpy as np
 
 SQRT3 = math.sqrt(3.0)
-SECTOR_ANGLE = math.pi / 3.0
 
 
 def _check_side(side: float) -> float:
     if not side > 0.0:
         raise ValueError(f"side must be positive, got {side}")
     return float(side)
-
-
-def boundary_radius(side: float, theta):
-    """Distance from the sector apex to the far edge at angle theta.
-
-    By the law of sines, sqrt(3)*L / (2*sin(2*pi/3 - theta)) on [0, pi/3]:
-    L at either corner, sqrt(3)L/2 at the mid-edge.
-    """
-    L = _check_side(side)
-    t = np.asarray(theta, dtype=float)
-    if not ((t >= 0.0) & (t <= SECTOR_ANGLE)).all():
-        raise ValueError("theta outside the sector [0, pi/3]")
-    r = SQRT3 * L / (2.0 * np.sin(2.0 * math.pi / 3.0 - t))
-    return float(r) if np.ndim(theta) == 0 else r
-
-
-def polar_joint_pdf(side: float, r: float, theta: float) -> float:
-    """Joint density of (r, theta) inside the sector: 4r/(sqrt(3) L^2)."""
-    L = _check_side(side)
-    if not (0.0 <= theta <= SECTOR_ANGLE):
-        raise ValueError("theta outside the sector [0, pi/3]")
-    rmax = boundary_radius(L, theta)
-    if not (0.0 <= r <= rmax * (1.0 + 1e-12)):
-        raise ValueError(f"r={r} outside the sector at theta={theta}")
-    return 4.0 * r / (SQRT3 * L * L)
 
 
 def radial_pdf(side: float, r):

@@ -90,39 +90,8 @@ def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarr
     return np.column_stack([x, y])
 
 
-def marginal_x_pdf(geom: CellGeometry, x):
-    """Density of the x coordinate: chord width divided by area."""
-    arr = np.asarray(x, dtype=float)
-    L = geom.side
-    L2 = L * L
-    if geom.shape is CellShape.TRIANGLE60:
-        pdf = np.select(
-            [(arr >= 0.0) & (arr <= L / 2.0), (arr > L / 2.0) & (arr <= L)],
-            [4.0 * arr / L2, 4.0 * (L - arr) / L2],
-            default=0.0,
-        )
-    elif geom.shape is CellShape.RHOMBUS120:
-        pdf = np.select(
-            [
-                (arr >= -L / 2.0) & (arr <= 0.0),
-                (arr > 0.0) & (arr <= L / 2.0),
-                (arr > L / 2.0) & (arr <= L),
-            ],
-            [(L + 2.0 * arr) / L2, np.full_like(arr, 1.0 / L), 2.0 * (L - arr) / L2],
-            default=0.0,
-        )
-    else:
-        a = np.abs(arr)
-        pdf = np.select(
-            [a <= L / 2.0, a <= L],
-            [np.full_like(arr, 2.0 / (3.0 * L)), 4.0 * (L - a) / (3.0 * L2)],
-            default=0.0,
-        )
-    return float(pdf) if np.ndim(x) == 0 else pdf
-
-
 def marginal_x_cdf(geom: CellGeometry, x):
-    """CDF of the x coordinate (the integral of :func:`marginal_x_pdf`)."""
+    """CDF of the x coordinate: the integral of chord width over area."""
     arr = np.asarray(x, dtype=float)
     L = geom.side
     L2 = L * L

@@ -103,15 +103,14 @@ def ks_test(samples: np.ndarray, cdf) -> KsResult:
     return KsResult(statistic=statistic, critical=critical, passed=statistic < critical)
 
 
-def equal_area_bin_counts(
-    geom: CellGeometry, xy: np.ndarray, nx: int = SPATIAL_BINS_X, ny: int = SPATIAL_BINS_Y
-) -> np.ndarray:
-    """Histogram points into nx*ny equal-probability spatial bins.
+def equal_area_bin_counts(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
+    """Histogram points into SPATIAL_BINS_X * SPATIAL_BINS_Y equal-probability bins.
 
     The bins are preimages of a regular grid under (F_X(x), position of y
-    inside its chord); under uniformity each bin carries exactly the same
-    probability, 1/(nx*ny).
+    inside its chord), the inverse of the sampler's own transform; under
+    uniformity each bin carries exactly the same probability, 1/(nx*ny).
     """
+    nx, ny = SPATIAL_BINS_X, SPATIAL_BINS_Y
     x, y = xy[:, 0], xy[:, 1]
     u = marginal_x_cdf(geom, x)
     lo, hi = chord_y_bounds(geom, x)
@@ -131,14 +130,18 @@ class ChiSquareResult:
 
 
 def spatial_chi_square(
-    geom: CellGeometry,
-    xy: np.ndarray,
-    nx: int = SPATIAL_BINS_X,
-    ny: int = SPATIAL_BINS_Y,
-    significance: float = SPATIAL_SIGNIFICANCE,
+    geom: CellGeometry, xy: np.ndarray, significance: float = SPATIAL_SIGNIFICANCE
 ) -> ChiSquareResult:
-    """Chi-square uniformity test over equal-area bins."""
-    counts = equal_area_bin_counts(geom, xy, nx, ny)
+    """Chi-square uniformity test over equal-area bins.
+
+    The bins of :func:`equal_area_bin_counts` invert the sampler's own
+    transform, so on :func:`hexdrop.sampler.sample_points` output the
+    statistic depends only on the stream's uniforms (94.3808 at seed 11
+    with 1e4 points, for all three shapes at sides 300 m and 1000 m): it
+    tests the generator, not the geometry.  The geometry is checked by
+    acceptance criterion 1 and test_marginal_matches_chord_quadrature.
+    """
+    counts = equal_area_bin_counts(geom, xy)
     n = counts.sum()
     expected = n / counts.size
     statistic = float(np.sum((counts - expected) ** 2) / expected)

@@ -198,6 +198,22 @@ GOLDEN = [
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
+    (
+        ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
+         "--step", "1", "--with-oracle", "--gnuplot", "--out", "pdf.csv"],
+        {
+            "pdf.csv": "15408785df580527fce2d5301bdabd244a8d110725f82011cc50a19cbf3a03f8",
+            "pdf.csv.gp": "4b67b43ee2a4b9526e007a5db9345de59a164e0baee816b7831d21b2d0cc79de",
+        },
+    ),
+    (
+        ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
+         "--step", "1", "--gnuplot", "--out", "pdf.csv"],
+        {
+            "pdf.csv": "98cf72a8ce1fea281b4865928d9dfba5875f4a35b50d9c6a43ddd53ee7ad8302",
+            "pdf.csv.gp": "69998c9d5125a26045846dd5724b331278e5a6687618e9bc67a846f6f145b33e",
+        },
+    ),
 ]
 
 
@@ -214,3 +230,42 @@ def test_cli_import_skips_scipy_stats():
     code = "import sys, hexdrop.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+_GOOD_PRESET = {
+    "name": "x", "alpha_prime_db": 34.5, "beta_db_per_decade": 35.0, "sigma_psi_db": 10.0,
+    "r0_m": 35.0, "cell_radius_min_m": 600.0, "cell_radius_max_m": 3500.0, "model_label": "m",
+}
+BAD_PRESET_FILES = {
+    "missing": None,
+    "not-a-list": {"a": 1},
+    "entry-not-object": [1],
+    "missing-keys": [{"name": "x"}],
+    "unknown-key": [dict(_GOOD_PRESET, extra=1)],
+    "string-number": [dict(_GOOD_PRESET, alpha_prime_db="34.5")],
+    "bool-number": [dict(_GOOD_PRESET, r0_m=True)],
+    "nan-number": [dict(_GOOD_PRESET, alpha_prime_db=float("nan"))],
+}
+
+
+@pytest.mark.parametrize("command", ["presets", "sample"])
+@pytest.mark.parametrize("case", list(BAD_PRESET_FILES))
+def test_bad_presets_file_is_usage_error(tmp_path, capsys, command, case):
+    path = tmp_path / "presets.json"
+    if BAD_PRESET_FILES[case] is not None:
+        path.write_text(json.dumps(BAD_PRESET_FILES[case]), encoding="utf-8")
+    argv = [command, "--presets-file", str(path)]
+    if command == "sample":
+        argv += ["--preset", "x", "--side", "1000", "--count", "10", "--out", str(tmp_path / "s.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_output_in_missing_directory_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run(["sample", "--side", "1000", "--count", "10", "--out", str(missing / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    argv = ["verify", "--side", "1000", "--count", "100", "--report", str(missing / "r.json")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -7,7 +7,6 @@ from scipy import integrate
 from hexdrop import (
     DensityModel,
     PathLossParams,
-    convolution_terms,
     exponent_merge_identity,
     pathloss_pdf,
     radial_cdf,
@@ -93,18 +92,6 @@ def test_pathloss_pdf_change_of_variables(name, side):
 
 
 # ------------------------------------------------------------ closed form
-
-
-def test_convolution_terms_ordering():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        side = rng.uniform(200.0, 3500.0)
-        pl = PathLossParams.from_intercept(
-            rng.uniform(20, 40), rng.uniform(20, 45), rng.uniform(5, 50), rng.uniform(2, 12)
-        )
-        m = DensityModel(side=side, pathloss=pl)
-        t = convolution_terms(m, rng.uniform(50.0, 200.0))
-        assert t.z_knee > t.z_max
 
 
 def test_sigma_zero_rejected():

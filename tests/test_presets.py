@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -9,7 +11,7 @@ from hexdrop import (
     preset_names,
     validate_cell_radius,
 )
-from hexdrop.presets import read_presets_file, write_presets_file
+from hexdrop.presets import read_presets_file
 
 EXPECTED = {
     "suburban-macro": (31.5, 35.0, 10.0, 35.0, 600.0, 3500.0, "COST-231 Hata-Model"),
@@ -65,7 +67,7 @@ def test_pathloss_params_bridge():
 
 def test_json_round_trip(tmp_path):
     path = tmp_path / "presets.json"
-    write_presets_file(path)
+    path.write_text(json.dumps([asdict(p) for p in BUILTIN_PRESETS.values()]), encoding="utf-8")
     loaded = read_presets_file(path)
     assert loaded == BUILTIN_PRESETS
     # and through the name lookup with an override path

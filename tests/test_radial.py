@@ -7,9 +7,7 @@ from scipy import integrate
 from hexdrop import (
     CellGeometry,
     VariateStream,
-    boundary_radius,
     ks_test,
-    polar_joint_pdf,
     radial_cdf,
     radial_pdf,
     sample_points,
@@ -18,37 +16,6 @@ from hexdrop import (
 from conftest import ALL_SHAPES
 
 SQRT3 = math.sqrt(3.0)
-
-
-def test_boundary_radius_corners_and_midedge():
-    assert boundary_radius(1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert boundary_radius(1.0, math.pi / 6.0) == pytest.approx(SQRT3 / 2.0, rel=1e-15)
-    assert boundary_radius(1.0, math.pi / 3.0) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        boundary_radius(1.0, -0.01)
-    with pytest.raises(ValueError):
-        boundary_radius(1.0, math.pi / 3.0 + 0.01)
-
-
-def test_polar_joint_values_and_domain():
-    assert polar_joint_pdf(1.0, 0.0, 0.2) == 0.0
-    assert polar_joint_pdf(1.0, 0.5, math.pi / 6.0) == pytest.approx(2.0 / SQRT3, rel=1e-14)
-    with pytest.raises(ValueError):
-        polar_joint_pdf(1.0, 1.01, 0.0)  # beyond the sector edge
-    with pytest.raises(ValueError):
-        polar_joint_pdf(1.0, 0.5, 1.2)
-
-
-def test_polar_joint_integrates_to_one():
-    val, err = integrate.dblquad(
-        lambda r, th: polar_joint_pdf(1.0, r, th),
-        0.0,
-        math.pi / 3.0,
-        lambda th: 0.0,
-        lambda th: boundary_radius(1.0, th),
-        epsabs=1e-12,
-    )
-    assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_radial_pdf_endpoints_and_knee():

@@ -9,7 +9,6 @@ from hexdrop import (
     CellShape,
     VariateStream,
     marginal_x_cdf,
-    marginal_x_pdf,
     point_in_shape,
     sample_points,
     sample_x,
@@ -98,7 +97,6 @@ def test_marginal_matches_chord_quadrature(shape):
         pts = [k for k in kinks if lo_x < k < x]
         ref, err = integrate.quad(width, lo_x, x, points=pts, epsabs=1e-12, limit=200)
         assert marginal_x_cdf(geom, x) == pytest.approx(ref, abs=1e-9)
-        assert marginal_x_pdf(geom, x) == pytest.approx(width(x), abs=1e-12)
 
 
 def test_sample_y_examples():
