@@ -11,9 +11,9 @@ import numpy as np
 from .density import DensityModel, shadowed_pdf, shadowed_pdf_conv
 from .geometry import CellGeometry, CellShape
 from .presets import (
+    BUILTIN_PRESETS,
     UnknownPresetError,
     load_preset,
-    preset_names,
     read_presets_file,
     validate_cell_radius,
 )
@@ -174,10 +174,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    if args.presets_file is not None:
-        table = read_presets_file(args.presets_file)
-    else:
-        table = {name: load_preset(name) for name in preset_names()}
+    table = BUILTIN_PRESETS if args.presets_file is None else read_presets_file(args.presets_file)
     for p in table.values():
         print(
             f"{p.name}: alpha'={p.alpha_prime_db} dB, beta={p.beta_db_per_decade} dB/decade, "

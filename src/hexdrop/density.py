@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, q_function
+from .numerics import ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, cusp_simpson, q_function
 from .pathloss import PathLossParams
 
 SQRT3 = math.sqrt(3.0)
@@ -169,10 +169,6 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     return prefactor * bracket
 
 
-def _gaussian_pdf(x: float, sigma: float) -> float:
-    return math.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-
-
 def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> float:
     """Brute-force shadowed density: convolve the Gaussian with the
     shadow-free density by adaptive quadrature.
@@ -194,7 +190,8 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
         raise ValueError("shadowing deviation must be positive")
 
     def integrand(tau: float) -> float:
-        return _gaussian_pdf(tau, sigma) * float(pathloss_pdf(model, l - tau))
+        gauss = math.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+        return gauss * float(pathloss_pdf(model, l - tau))
 
     t_low = l - model.max_loss_db  # below: shadow-free density is zero
     t_knee = l - model.knee_loss_db
@@ -212,10 +209,7 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
     total = 0.0
     for a, b in zip(grid[:-1], grid[1:]):
         if b == t_knee:
-            width = b - a
-            total += adaptive_simpson(
-                lambda s: 2.0 * s * integrand(t_knee - s * s), 0.0, math.sqrt(width), tol
-            )
+            total += cusp_simpson(integrand, t_knee, a, tol)
         else:
             total += adaptive_simpson(integrand, a, b, tol)
     return total

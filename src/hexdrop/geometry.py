@@ -59,16 +59,6 @@ def shape_vertices(geom: CellGeometry) -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
-def shape_area(geom: CellGeometry) -> float:
-    """Contour area in square metres."""
-    L2 = geom.side * geom.side
-    if geom.shape is CellShape.TRIANGLE60:
-        return SQRT3 * L2 / 4.0
-    if geom.shape is CellShape.RHOMBUS120:
-        return SQRT3 * L2 / 2.0
-    return 3.0 * SQRT3 * L2 / 2.0
-
-
 def x_range(geom: CellGeometry) -> tuple[float, float]:
     """Closed range of x covered by the contour."""
     L = geom.side

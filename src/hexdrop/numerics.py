@@ -1,7 +1,7 @@
 """Special functions and integration used by the density evaluators.
 
 Three pieces: the Gaussian tail (Q) function, a recursive adaptive
-Simpson integrator, and the integral
+Simpson integrator (with a variant for a square-root cusp), and the integral
 
     I(k, a, b; x1, x2) = int_{x1}^{x2} exp(-x^2) * asin(k * 10^-(a + b x)) dx
 
@@ -27,6 +27,7 @@ LN10 = math.log(10.0)
 ARG_CLAMP = 1e-12
 
 SERIES_MAX_TERMS = 500
+MAX_DEPTH = 48  # adaptive Simpson's recursion cap
 
 
 class NonConvergenceError(RuntimeError):
@@ -34,7 +35,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class SeriesDivergenceError(NonConvergenceError):
-    """Series terms stopped decreasing within the term cap."""
+    """The series did not reach its tolerance within SERIES_MAX_TERMS terms."""
 
 
 def q_function(x):
@@ -67,23 +68,26 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     )
 
 
-def adaptive_simpson(f, lo: float, hi: float, tol: float, max_depth: int = 48) -> float:
+def adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
     """Integrate f over [lo, hi] to absolute tolerance tol.
 
     Classic recursive adaptive Simpson with the 15x Richardson acceptance
     test; exact on cubics at the first level.  Raises NonConvergenceError
-    if the depth cap is hit before the tolerance is met.
+    if MAX_DEPTH is reached before the tolerance is met.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if lo == hi:
-        return 0.0
-    sign = 1.0
-    if hi < lo:
-        lo, hi, sign = hi, lo, -1.0
     fa, fb = f(lo), f(hi)
     m, fm, whole = _simpson(f, lo, fa, hi, fb)
-    return sign * _adaptive(f, lo, fa, hi, fb, m, fm, whole, tol, max_depth)
+    return _adaptive(f, lo, fa, hi, fb, m, fm, whole, tol, MAX_DEPTH)
+
+
+def cusp_simpson(f, cusp: float, other: float, tol: float) -> float:
+    """Integrate f over the interval between cusp and other, f having a
+    square-root cusp at cusp: x = cusp -/+ s^2 makes it smooth in s."""
+    sign = -1.0 if other < cusp else 1.0
+    g = lambda s: 2.0 * s * f(cusp + sign * (s * s))
+    return adaptive_simpson(g, 0.0, math.sqrt(abs(cusp - other)), tol)
 
 
 @dataclass(frozen=True)
@@ -149,21 +153,17 @@ def _series_value(p: ArcsineGaussParams, tol: float) -> float:
     gamma = p.slope * LN10
     ln_y0 = math.log(p.scale) - p.offset * LN10
     total = 0.0
-    magnitudes: list[float] = []
     for n in range(SERIES_MAX_TERMS + 1):
         xi = 0.5 * gamma * (2 * n + 1)
         ln_amp = _log_asin_taylor_coeff(n) + (2 * n + 1) * ln_y0
         term = 0.5 * SQRT_PI * _amp_erfc_diff(ln_amp, xi, p.lo + xi, p.hi + xi)
         total += term
-        magnitudes.append(abs(term))
         if n >= 3 and abs(term) < tol * max(abs(total), 1e-300):
             return total
-    if len(magnitudes) >= 3 and not (magnitudes[-1] <= magnitudes[-2] <= magnitudes[-3]):
-        raise SeriesDivergenceError(
-            f"series terms not decreasing after {SERIES_MAX_TERMS} terms"
-        )
-    # decreasing but slow (argument at or near 1): return the capped sum
-    return total
+    raise SeriesDivergenceError(
+        f"series did not reach tol={tol:g} within {SERIES_MAX_TERMS} terms "
+        f"(last term {term:.3e}, partial sum {total:.6g})"
+    )
 
 
 def _quadrature_value(p: ArcsineGaussParams, arg_lo: float, arg_hi: float, tol: float) -> float:
@@ -173,15 +173,9 @@ def _quadrature_value(p: ArcsineGaussParams, arg_lo: float, arg_hi: float, tol: 
 
     if max(arg_lo, arg_hi) <= 0.999:
         return adaptive_simpson(integrand, p.lo, p.hi, tol)
-
-    # The arcsine derivative blows up as the argument reaches 1 at one
-    # endpoint; substituting x = end -/+ s^2 restores a smooth integrand.
-    width = p.hi - p.lo
-    if arg_hi >= arg_lo:
-        g = lambda s: 2.0 * s * integrand(p.hi - s * s)
-    else:
-        g = lambda s: 2.0 * s * integrand(p.lo + s * s)
-    return adaptive_simpson(g, 0.0, math.sqrt(width), tol)
+    # the arcsine derivative blows up at the end where the argument reaches 1
+    cusp, other = (p.hi, p.lo) if arg_hi >= arg_lo else (p.lo, p.hi)
+    return cusp_simpson(integrand, cusp, other, tol)
 
 
 def arcsine_gauss_integral(
@@ -191,10 +185,10 @@ def arcsine_gauss_integral(
 
     method "quadrature" integrates adaptively (authoritative path); method
     "series" sums the Taylor closed form, truncated once the next term
-    falls below tol times the partial sum (with at least 4 terms taken and
-    a hard cap of 500).  The series converges fast while the arcsine
-    argument stays below 1 on the interval and degrades to a slow
-    polynomial tail when the argument touches 1 exactly.
+    falls below tol times the partial sum (at least 4 terms).  It converges
+    fast while the arcsine argument stays below 1 on the interval; where the
+    argument touches 1 its tail is polynomial, and SeriesDivergenceError is
+    raised if SERIES_MAX_TERMS terms do not reach tol.
     """
     if p.scale == 0.0:
         return 0.0

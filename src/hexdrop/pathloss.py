@@ -31,11 +31,6 @@ class PathLossParams:
         if self.sigma_psi < 0.0:
             raise ValueError(f"sigma_psi must be nonnegative, got {self.sigma_psi}")
 
-    @property
-    def alpha_prime(self) -> float:
-        """Intercept with r measured in metres: alpha - beta*log10(r0)."""
-        return self.alpha - self.beta * math.log10(self.r0)
-
     @classmethod
     def from_intercept(
         cls, alpha_prime: float, beta: float, r0: float, sigma_psi: float

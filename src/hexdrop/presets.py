@@ -54,10 +54,6 @@ BUILTIN_PRESETS: dict[str, ChannelPreset] = {
 }
 
 
-def preset_names() -> list[str]:
-    return list(BUILTIN_PRESETS)
-
-
 def load_preset(name: str, path: str | Path | None = None) -> ChannelPreset:
     """Look up a preset by name, optionally from a JSON override file."""
     table = read_presets_file(path) if path is not None else BUILTIN_PRESETS
@@ -80,8 +76,9 @@ def read_presets_file(path: str | Path) -> dict[str, ChannelPreset]:
     """Load presets from a JSON file (a list of preset objects).
 
     Raises ValueError, naming the file and the entry at fault, unless the
-    file holds objects with exactly the ChannelPreset fields: text for
-    name and model_label, a finite int or float (not bool) for the others.
+    file holds objects with distinct names and exactly the ChannelPreset
+    fields: text for name and model_label, a finite int or float (not bool)
+    for the others.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -101,6 +98,7 @@ def read_presets_file(path: str | Path) -> dict[str, ChannelPreset]:
                 raise ValueError(f"{where}: {key} has the wrong type ({value!r})")
             if kind is not str and not math.isfinite(value):
                 raise ValueError(f"{where}: {key} is not finite ({value!r})")
-        preset = ChannelPreset(**entry)
-        presets[preset.name] = preset
+        if entry["name"] in presets:
+            raise ValueError(f"{where}: duplicate preset name {entry['name']!r}")
+        presets[entry["name"]] = ChannelPreset(**entry)
     return presets

@@ -245,6 +245,7 @@ BAD_PRESET_FILES = {
     "string-number": [dict(_GOOD_PRESET, alpha_prime_db="34.5")],
     "bool-number": [dict(_GOOD_PRESET, r0_m=True)],
     "nan-number": [dict(_GOOD_PRESET, alpha_prime_db=float("nan"))],
+    "duplicate-name": [_GOOD_PRESET, dict(_GOOD_PRESET, beta_db_per_decade=30.0)],
 }
 
 
@@ -269,3 +270,32 @@ def test_output_in_missing_directory_is_usage_error(tmp_path, capsys):
     argv = ["verify", "--side", "1000", "--count", "100", "--report", str(missing / "r.json")]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_traced_replay_reports_every_layer(tmp_path):
+    """bench/tracing.py replays a CLI command with spans around the public
+    functions it wraps; it exits 0 only when every per-layer metric of
+    BENCHMARK.json is measured, which breaks if a wrapped name or call
+    shape moves."""
+    repo = Path(__file__).resolve().parents[1]
+    spec = {
+        "argv": [
+            "pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
+            "--step", "1", "--with-oracle", "--out", str(tmp_path / "pdf.csv"),
+        ],
+        "preset": "urban-micro-los",
+        "side": 250.0,
+        "seed": 1,
+        "probe_dir": str(tmp_path),
+        "out": str(tmp_path / "trace.json"),
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "bench/tracing.py", str(spec_path)], cwd=repo, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
+    assert result["code"] == 0
+    declared = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)

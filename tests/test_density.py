@@ -7,14 +7,13 @@ from scipy import integrate
 from hexdrop import (
     DensityModel,
     PathLossParams,
-    exponent_merge_identity,
     pathloss_pdf,
     radial_cdf,
     shadowed_cdf,
     shadowed_pdf,
     shadowed_pdf_conv,
 )
-from hexdrop.density import _cdf_table
+from hexdrop.density import _cdf_table, exponent_merge_identity
 
 from conftest import PRESET_CASES, preset_model
 

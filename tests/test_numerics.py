@@ -8,11 +8,10 @@ from hexdrop import (
     ArcsineGaussParams,
     NonConvergenceError,
     SeriesDivergenceError,
-    adaptive_simpson,
     arcsine_gauss_integral,
-    q_function,
+    load_preset,
 )
-from hexdrop.numerics import _log_asin_taylor_coeff, _series_value
+from hexdrop.numerics import _log_asin_taylor_coeff, _series_value, adaptive_simpson, q_function
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -66,7 +65,7 @@ def test_simpson_edge_cases():
 def test_simpson_depth_cap_signals_failure():
     step = lambda x: 0.0 if x < 1.0 / math.e else 1.0
     with pytest.raises(NonConvergenceError):
-        adaptive_simpson(step, 0.0, 1.0, 1e-13, max_depth=10)
+        adaptive_simpson(step, 0.0, 1.0, 1e-13)
 
 
 # ------------------------------------------------- Gaussian-arcsine integral
@@ -148,6 +147,27 @@ def test_series_divergence_signalled():
     p = ArcsineGaussParams(scale=1.05, offset=0.0, slope=1e-3, lo=-1.0, hi=1.0)
     with pytest.raises(SeriesDivergenceError):
         _series_value(p, tol=1e-15)
+
+
+def test_series_cap_raises_instead_of_returning_partial_sum():
+    # the integral shadowed_pdf needs for urban-macro at side 1000 m and
+    # l = 140 dB: the argument reaches 1 at hi, and 500 terms leave the sum
+    # 4.1e-5 (relative) short of the quadrature
+    m = load_preset("urban-macro").density_model(1000.0)
+    pl, l = m.pathloss, 140.0
+    mu = l - pl.alpha + 2.0 * math.log(10.0) * pl.sigma_psi**2 / pl.beta
+    z_max = (mu - pl.beta * math.log10(m.side / pl.r0)) / pl.sigma_psi
+    z_knee = (mu - pl.beta * math.log10(math.sqrt(3.0) * m.side / (2.0 * pl.r0))) / pl.sigma_psi
+    p = ArcsineGaussParams(
+        scale=math.sqrt(3.0) * m.side / (2.0 * pl.r0),
+        offset=mu / pl.beta,
+        slope=-math.sqrt(2.0) * pl.sigma_psi / pl.beta,
+        lo=z_max / math.sqrt(2.0),
+        hi=z_knee / math.sqrt(2.0),
+    )
+    assert math.isfinite(arcsine_gauss_integral(p, "quadrature"))
+    with pytest.raises(SeriesDivergenceError, match="500 terms"):
+        arcsine_gauss_integral(p, "series")
 
 
 # ------------------------------------------------------- series coefficients

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hexdrop import PathLossParams, mean_pathloss
+from hexdrop import PathLossParams
+from hexdrop.pathloss import mean_pathloss
 
 
 def test_parameter_validation():
@@ -55,7 +56,7 @@ def test_intercept_round_trip_and_invariance():
         beta = rng.uniform(15.0, 45.0)
         r0 = rng.uniform(1.0, 100.0)
         p = PathLossParams.from_intercept(ap, beta, r0, 5.0)
-        assert p.alpha_prime == pytest.approx(ap, rel=1e-12)
+        assert p.alpha - p.beta * math.log10(p.r0) == pytest.approx(ap, rel=1e-12)
         # the (alpha, r0) split leaves the mean loss untouched
         r = rng.uniform(1.0, 4000.0)
         direct = ap + beta * math.log10(r)

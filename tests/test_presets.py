@@ -4,14 +4,8 @@ from dataclasses import asdict
 
 import pytest
 
-from hexdrop import (
-    BUILTIN_PRESETS,
-    UnknownPresetError,
-    load_preset,
-    preset_names,
-    validate_cell_radius,
-)
-from hexdrop.presets import read_presets_file
+from hexdrop import UnknownPresetError, load_preset
+from hexdrop.presets import BUILTIN_PRESETS, read_presets_file, validate_cell_radius
 
 EXPECTED = {
     "suburban-macro": (31.5, 35.0, 10.0, 35.0, 600.0, 3500.0, "COST-231 Hata-Model"),
@@ -22,7 +16,7 @@ EXPECTED = {
 
 
 def test_exactly_four_presets():
-    assert set(preset_names()) == set(EXPECTED)
+    assert set(BUILTIN_PRESETS) == set(EXPECTED)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))

@@ -1,6 +1,7 @@
 import numpy as np
 
-from hexdrop import GENERATOR_LABEL, VariateStream
+from hexdrop import VariateStream
+from hexdrop.rng import GENERATOR_LABEL
 
 
 def test_same_seed_same_sequence():

@@ -12,13 +12,12 @@ from hexdrop import (
     point_in_shape,
     sample_points,
     sample_x,
-    sample_y_given_x,
-    shape_area,
 )
-from hexdrop.geometry import x_range
+from hexdrop.geometry import shape_vertices, x_range
+from hexdrop.sampler import sample_y_given_x
 
 from conftest import ALL_SHAPES
-from test_geometry import _chord_from_edges
+from test_geometry import _chord_from_edges, shoelace
 
 SQRT3 = math.sqrt(3.0)
 
@@ -86,7 +85,7 @@ def test_marginal_matches_chord_quadrature(shape):
     L = 1.3
     geom = CellGeometry(shape, L)
     lo_x, hi_x = x_range(geom)
-    area = shape_area(geom)
+    area = shoelace(shape_vertices(geom))
     kinks = [-L, -L / 2.0, 0.0, L / 2.0, L]
 
     def width(x):

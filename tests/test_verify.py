@@ -12,12 +12,17 @@ from hexdrop import (
     load_preset,
     point_in_shape,
     run_drop,
-    run_verification,
     sample_points,
     shadowed_cdf,
     spatial_chi_square,
 )
-from hexdrop.verify import VerifyReport, equal_area_bin_counts, write_density_csv, write_samples_csv
+from hexdrop.verify import (
+    VerifyReport,
+    equal_area_bin_counts,
+    run_verification,
+    write_density_csv,
+    write_samples_csv,
+)
 
 from conftest import ALL_SHAPES, PRESET_CASES, preset_model
 
