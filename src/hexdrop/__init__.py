@@ -4,11 +4,13 @@ density of path loss with log-normal shadowing."""
 from .density import (
     DensityModel,
     pathloss_pdf,
+    radial_cdf,
+    radial_pdf,
     shadowed_cdf,
     shadowed_pdf,
     shadowed_pdf_conv,
 )
-from .geometry import CellGeometry, CellShape, point_in_shape
+from .geometry import CellGeometry, CellShape, marginal_x_cdf, point_in_shape, sample_points, sample_x
 from .numerics import (
     ArcsineGaussParams,
     NonConvergenceError,
@@ -17,9 +19,7 @@ from .numerics import (
 )
 from .pathloss import PathLossParams
 from .presets import UnknownPresetError, load_preset
-from .radial import radial_cdf, radial_pdf
 from .rng import VariateStream
-from .sampler import marginal_x_cdf, sample_points, sample_x
 from .verify import ks_test, run_drop, spatial_chi_square
 
 __version__ = "0.1.0"

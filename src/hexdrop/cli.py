@@ -12,7 +12,6 @@ from .density import DensityModel, shadowed_pdf, shadowed_pdf_conv
 from .geometry import CellGeometry, CellShape
 from .presets import (
     BUILTIN_PRESETS,
-    UnknownPresetError,
     load_preset,
     read_presets_file,
     validate_cell_radius,
@@ -82,7 +81,7 @@ def _resolve_model(args) -> tuple[DensityModel, object]:
             f"[{preset.cell_radius_min_m}, {preset.cell_radius_max_m}] m"
         )
         if not args.force_radius:
-            raise UnknownPresetError(msg + " (use --force-radius to proceed)")
+            raise ValueError(msg + " (use --force-radius to proceed)")
         print(f"warning: {msg}", file=sys.stderr)
     return preset.density_model(args.side), preset
 
@@ -195,9 +194,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    # bad input or an unwritable output path is a usage error, not a failed verification
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # bad input, an unwritable output path or a request too large for memory is a
+    # usage error, not a failed verification
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

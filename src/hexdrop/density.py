@@ -1,7 +1,17 @@
 """Loss densities for a uniform drop around a central base station.
 
-Two densities are exposed for the loss between the base station and a
-uniformly dropped mobile:
+All of them rest on the distance law.  For a uniform drop in a 60 degree
+sector of side L (and therefore for the rhombus and the full hexagon,
+which repeat that sector), the polar joint density is 4r/(sqrt(3) L^2)
+and the separation r has the marginal
+
+    f(r) = 4 pi r / (3 sqrt(3) L^2)                      0 <= r <= sqrt(3)L/2
+    f(r) = 8 r / (sqrt(3) L^2) * (asin(sqrt(3)L/(2r)) - pi/3)
+                                                         sqrt(3)L/2 <= r <= L
+
+with the breakpoint at the inscribed radius sqrt(3)L/2
+(:func:`radial_pdf`, :func:`radial_cdf`).  Two densities are exposed
+for the loss between the base station and a uniformly dropped mobile:
 
 * :func:`pathloss_pdf` - the distance-driven component alone, obtained
   from the radial law by the change of variables r = r0 * 10^((w-alpha)/beta);
@@ -40,6 +50,67 @@ LOWER_TAIL_DECADES = 4.5
 CDF_POINTS = 3001
 
 
+def _check_side(side: float) -> float:
+    if not side > 0.0:
+        raise ValueError(f"side must be positive, got {side}")
+    return float(side)
+
+
+def radial_pdf(side: float, r):
+    """Marginal density of the separation r; zero beyond r = L."""
+    L = _check_side(side)
+    arr = np.asarray(r, dtype=float)
+    if (arr < 0.0).any():
+        raise ValueError("r must be nonnegative")
+    knee = SQRT3 * L / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outer = (
+            8.0
+            * arr
+            / (SQRT3 * L * L)
+            * (np.arcsin(np.clip(knee / np.where(arr > 0.0, arr, 1.0), -1.0, 1.0)) - math.pi / 3.0)
+        )
+    pdf = np.select(
+        [arr <= knee, arr <= L],
+        [4.0 * math.pi * arr / (3.0 * SQRT3 * L * L), outer],
+        default=0.0,
+    )
+    return float(pdf) if np.ndim(r) == 0 else pdf
+
+
+def radial_cdf(side: float, r):
+    """CDF of the separation.
+
+    The inner piece integrates to 2 pi r^2 / (3 sqrt(3) L^2); the outer
+    piece uses the antiderivative of r*(asin(c/r) - pi/3),
+
+        (r^2/2) asin(c/r) + (c/2) sqrt(r^2 - c^2) - pi r^2 / 6,
+
+    which the tests cross-check against adaptive quadrature.
+    """
+    L = _check_side(side)
+    arr = np.asarray(r, dtype=float)
+    c = SQRT3 * L / 2.0
+    inner_mass = math.pi / (2.0 * SQRT3)  # CDF at the breakpoint
+
+    rs = np.clip(arr, c, L)
+    with np.errstate(invalid="ignore"):
+        g = (
+            0.5 * rs * rs * np.arcsin(np.clip(c / rs, -1.0, 1.0))
+            + 0.5 * c * np.sqrt(np.maximum(rs * rs - c * c, 0.0))
+            - math.pi * rs * rs / 6.0
+        )
+    g_knee = math.pi * L * L / 16.0
+    outer = inner_mass + (8.0 / (SQRT3 * L * L)) * (g - g_knee)
+
+    cdf = np.select(
+        [arr <= 0.0, arr <= c, arr <= L],
+        [0.0, 2.0 * math.pi * arr * arr / (3.0 * SQRT3 * L * L), outer],
+        default=1.0,
+    )
+    return float(cdf) if np.ndim(r) == 0 else cdf
+
+
 @dataclass(frozen=True)
 class DensityModel:
     """Cell side length plus loss parameters, fixing both densities.
@@ -55,8 +126,8 @@ class DensityModel:
     pathloss: PathLossParams
 
     def __post_init__(self):
-        if not self.side > 0.0:
-            raise ValueError(f"side must be positive, got {self.side}")
+        if not (math.isfinite(self.side) and self.side > 0.0):
+            raise ValueError(f"side must be positive and finite, got {self.side}")
         if not self.pathloss.r0 < SQRT3 * self.side / 2.0:
             raise ValueError(
                 f"close-in distance {self.pathloss.r0} m must be smaller than "
@@ -143,9 +214,15 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
     L2 = model.side * model.side
 
-    prefactor = (4.0 * p.r0 * p.r0 * LN10 / (SQRT3 * L2 * p.beta)) * 10.0 ** (
-        2.0 * (LN10 * sigma * sigma + p.beta * (l - p.alpha)) / (p.beta * p.beta)
-    )
+    try:
+        prefactor = (4.0 * p.r0 * p.r0 * LN10 / (SQRT3 * L2 * p.beta)) * 10.0 ** (
+            2.0 * (LN10 * sigma * sigma + p.beta * (l - p.alpha)) / (p.beta * p.beta)
+        )
+    except OverflowError:
+        raise ValueError(
+            f"loss {l} dB overflows the closed-form prefactor; the model's maximum "
+            f"mean loss is {model.max_loss_db:.6g} dB"
+        ) from None
 
     lo = max(z_max / math.sqrt(2.0), -GAUSS_REACH)
     hi = min(z_knee / math.sqrt(2.0), GAUSS_REACH)

@@ -1,11 +1,17 @@
-"""Cell contours: canonical vertex placement and membership tests.
+"""Cell contours and exact uniform position sampling inside them.
 
 The three supported contours are an equilateral triangle (60 degree
 sector), a 120 degree rhombus (two sectors) and the full hexagon.  They
-are placed so that every sampling expression in :mod:`hexdrop.sampler`
-holds as written: the triangle has its base on the x-axis, the hexagon
-is flat-side-up and centred on the base station, and the rhombus is the
-0-120 degree pair of hexagon sectors.
+are placed so that every sampling expression below holds as written:
+the triangle has its base on the x-axis, the hexagon is flat-side-up and
+centred on the base station, and the rhombus is the 0-120 degree pair of
+hexagon sectors.
+
+Points are generated by inverse-transform sampling: the x coordinate is
+drawn through the piecewise inverse of its marginal CDF, then y is drawn
+uniformly on the vertical chord at that x.  The piecewise inverses below
+follow from the uniform joint density 1/area; each piece agrees with its
+neighbour at the junction, so the inverse is continuous on (0, 1).
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import VariateStream
 
 SQRT3 = math.sqrt(3.0)
 
@@ -110,3 +118,114 @@ def point_in_shape(geom: CellGeometry, p) -> bool | np.ndarray:
         cross = (bx - ax) * (pts[:, 1] - ay) - (by - ay) * (pts[:, 0] - ax)
         inside &= cross >= -eps
     return bool(inside[0]) if scalar else inside
+
+
+def _check_open_unit(u: np.ndarray) -> None:
+    if not ((u > 0.0) & (u < 1.0)).all():
+        raise ValueError("uniform variate must lie strictly inside (0, 1)")
+
+
+def sample_x(geom: CellGeometry, u):
+    """Inverse marginal CDF of the x coordinate.
+
+    Piecewise inverses (side L, variate u):
+
+    * triangle60:  L*sqrt(u/2)                 for u <= 1/2
+                   L*(1 - sqrt((1-u)/2))       for u >= 1/2
+    * rhombus120:  (L/2)*(2*sqrt(u) - 1)       for u <= 1/4
+                   L*(u - 1/4)                 for 1/4 <= u <= 3/4
+                   L*(1 - sqrt(1-u))           for u >= 3/4
+    * hexagon:     L*(sqrt(3u/2) - 1)          for u <= 1/6
+                   (3L/4)*(2u - 1)             for 1/6 <= u <= 5/6
+                   L*(1 - sqrt(3(1-u)/2))      for u >= 5/6
+
+    Scalar or array u; raises ValueError outside the open unit interval.
+    """
+    arr = np.asarray(u, dtype=float)
+    _check_open_unit(arr)
+    L = geom.side
+    if geom.shape is CellShape.TRIANGLE60:
+        x = np.where(
+            arr <= 0.5,
+            L * np.sqrt(arr / 2.0),
+            L * (1.0 - np.sqrt((1.0 - arr) / 2.0)),
+        )
+    elif geom.shape is CellShape.RHOMBUS120:
+        x = np.select(
+            [arr <= 0.25, arr <= 0.75],
+            [(L / 2.0) * (2.0 * np.sqrt(arr) - 1.0), L * (arr - 0.25)],
+            default=L * (1.0 - np.sqrt(1.0 - arr)),
+        )
+    else:
+        x = np.select(
+            [arr <= 1.0 / 6.0, arr <= 5.0 / 6.0],
+            [
+                L * (np.sqrt(1.5 * arr) - 1.0),
+                0.75 * L * (2.0 * arr - 1.0),
+            ],
+            default=L * (1.0 - np.sqrt(1.5 * (1.0 - arr))),
+        )
+    return float(x) if np.isscalar(u) or np.ndim(u) == 0 else x
+
+
+def sample_y_given_x(geom: CellGeometry, x0, u):
+    """Uniform draw on the vertical chord at x0 via (hi - lo)*u + lo."""
+    xs = np.asarray(x0, dtype=float)
+    arr = np.asarray(u, dtype=float)
+    _check_open_unit(arr)
+    lo_x, hi_x = x_range(geom)
+    if not ((xs >= lo_x) & (xs <= hi_x)).all():
+        raise ValueError(f"x0 outside the shape's x-range [{lo_x}, {hi_x}]")
+    lo, hi = chord_y_bounds(geom, xs)
+    y = lo + (hi - lo) * arr
+    scalar = np.ndim(x0) == 0 and np.ndim(u) == 0
+    return float(y) if scalar else y
+
+
+def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarray:
+    """n uniform points as an (n, 2) array.
+
+    Draws n x-uniforms then n y-uniforms as blocks, so the result for a
+    given seed is reproducible.
+    """
+    ux = stream.uniforms(n)
+    x = sample_x(geom, ux)
+    uy = stream.uniforms(n)
+    y = sample_y_given_x(geom, x, uy)
+    return np.column_stack([x, y])
+
+
+def marginal_x_cdf(geom: CellGeometry, x):
+    """CDF of the x coordinate: the integral of chord width over area."""
+    arr = np.asarray(x, dtype=float)
+    L = geom.side
+    L2 = L * L
+    if geom.shape is CellShape.TRIANGLE60:
+        cdf = np.select(
+            [arr <= 0.0, arr <= L / 2.0, arr <= L],
+            [0.0, 2.0 * arr * arr / L2, 1.0 - 2.0 * (L - arr) ** 2 / L2],
+            default=1.0,
+        )
+    elif geom.shape is CellShape.RHOMBUS120:
+        cdf = np.select(
+            [arr <= -L / 2.0, arr <= 0.0, arr <= L / 2.0, arr <= L],
+            [
+                0.0,
+                (arr + L / 2.0) ** 2 / L2,
+                0.25 + arr / L,
+                1.0 - (L - arr) ** 2 / L2,
+            ],
+            default=1.0,
+        )
+    else:
+        cdf = np.select(
+            [arr <= -L, arr <= -L / 2.0, arr <= L / 2.0, arr <= L],
+            [
+                0.0,
+                2.0 * (arr + L) ** 2 / (3.0 * L2),
+                0.5 + 2.0 * arr / (3.0 * L),
+                1.0 - 2.0 * (L - arr) ** 2 / (3.0 * L2),
+            ],
+            default=1.0,
+        )
+    return float(cdf) if np.ndim(x) == 0 else cdf

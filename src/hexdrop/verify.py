@@ -17,10 +17,9 @@ import numpy as np
 from scipy import special
 
 from .density import DensityModel, shadowed_cdf
-from .geometry import CellGeometry, chord_y_bounds
+from .geometry import CellGeometry, chord_y_bounds, marginal_x_cdf, sample_points
 from .pathloss import PathLossParams, mean_pathloss
 from .rng import GENERATOR_LABEL, VariateStream
-from .sampler import marginal_x_cdf, sample_points
 
 # Asymptotic one-sample KS critical coefficient at significance 0.01.
 KS_COEFF_001_LEVEL = 1.628
@@ -135,7 +134,7 @@ def spatial_chi_square(
     """Chi-square uniformity test over equal-area bins.
 
     The bins of :func:`equal_area_bin_counts` invert the sampler's own
-    transform, so on :func:`hexdrop.sampler.sample_points` output the
+    transform, so on :func:`hexdrop.geometry.sample_points` output the
     statistic depends only on the stream's uniforms (94.3808 at seed 11
     with 1e4 points, for all three shapes at sides 300 m and 1000 m): it
     tests the generator, not the geometry.  The geometry is checked by

@@ -214,6 +214,21 @@ GOLDEN = [
             "pdf.csv.gp": "69998c9d5125a26045846dd5724b331278e5a6687618e9bc67a846f6f145b33e",
         },
     ),
+    (
+        ["sample", "--shape", "triangle60", "--side", "1000", "--count", "500", "--seed", "7",
+         "--out", "sample.csv"],
+        {"sample.csv": "369e085c705b756df40cd19ce773e9cb0a5e5028a6a9a20b72e32adf38cbef48"},
+    ),
+    (
+        ["verify", "--shape", "rhombus120", "--side", "1000", "--count", "2000", "--seed", "3",
+         "--gnuplot", "--report", "report.json"],
+        {
+            "report.json": "8b484b2974451f020b9e7334053ad11562b6d76ee138d73126e2459df60acccd",
+            "report_samples.csv": "25dd7062d2e18f82bafad5d5fdbc674450c71ff39b9d9936685644715f93049d",
+            "report_curve.csv": "55bb36f2ba52ea0aabbb3cc02a42610d40104988d0b5026602f251d68b24e11c",
+            "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
+        },
+    ),
 ]
 
 
@@ -270,6 +285,41 @@ def test_output_in_missing_directory_is_usage_error(tmp_path, capsys):
     argv = ["verify", "--side", "1000", "--count", "100", "--report", str(missing / "r.json")]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, max_loss",
+    [
+        (["--preset", "urban-macro", "--side", "1000", "--from", "100", "--to", "6000", "--step", "100"],
+         "139.5"),
+        (["--side", "1e300", "--force-radius"], "10534.5"),
+    ],
+)
+def test_pdf_prefactor_overflow_is_usage_error(tmp_path, capsys, argv, max_loss):
+    assert run(["pdf", *argv, "--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: loss ") and f"maximum mean loss is {max_loss} dB" in err
+
+
+def test_pdf_infinite_side_is_usage_error(tmp_path, capsys):
+    assert run(["pdf", "--side", "inf", "--force-radius", "--out", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: side must be positive and finite, got inf"
+
+
+def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(hexdrop.cli, "run_drop", exhausted)
+    assert run(["sample", "--side", "1000", "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_side_out_of_preset_range_is_not_an_unknown_preset():
+    args = hexdrop.cli._build_parser().parse_args(["sample", "--side", "100", "--out", "s.csv"])
+    with pytest.raises(ValueError, match="outside the urban-macro radius range") as exc:
+        hexdrop.cli._resolve_model(args)
+    assert not isinstance(exc.value, hexdrop.UnknownPresetError)
 
 
 def test_traced_replay_reports_every_layer(tmp_path):

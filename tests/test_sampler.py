@@ -13,8 +13,7 @@ from hexdrop import (
     sample_points,
     sample_x,
 )
-from hexdrop.geometry import shape_vertices, x_range
-from hexdrop.sampler import sample_y_given_x
+from hexdrop.geometry import sample_y_given_x, shape_vertices, x_range
 
 from conftest import ALL_SHAPES
 from test_geometry import _chord_from_edges, shoelace
