@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -110,8 +111,10 @@ def _cmd_pdf(args) -> int:
         lo = args.from_db
     if args.to_db is not None:
         hi = args.to_db
-    if not (args.step > 0.0 and hi > lo):
-        raise ValueError("need --step > 0 and --to > --from")
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        raise ValueError(f"need a finite --step > 0, got {args.step}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need a finite loss range --from < --to, got [{lo}, {hi}] dB")
     grid = np.arange(lo, hi + args.step / 2.0, args.step)
     closed = np.array([shadowed_pdf(model, float(l)) for l in grid])
     oracle = None

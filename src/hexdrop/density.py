@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import check_side
 from .numerics import ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, cusp_simpson, q_function
 from .pathloss import PathLossParams
 
@@ -50,15 +51,9 @@ LOWER_TAIL_DECADES = 4.5
 CDF_POINTS = 3001
 
 
-def _check_side(side: float) -> float:
-    if not side > 0.0:
-        raise ValueError(f"side must be positive, got {side}")
-    return float(side)
-
-
 def radial_pdf(side: float, r):
     """Marginal density of the separation r; zero beyond r = L."""
-    L = _check_side(side)
+    L = check_side(side)
     arr = np.asarray(r, dtype=float)
     if (arr < 0.0).any():
         raise ValueError("r must be nonnegative")
@@ -88,7 +83,7 @@ def radial_cdf(side: float, r):
 
     which the tests cross-check against adaptive quadrature.
     """
-    L = _check_side(side)
+    L = check_side(side)
     arr = np.asarray(r, dtype=float)
     c = SQRT3 * L / 2.0
     inner_mass = math.pi / (2.0 * SQRT3)  # CDF at the breakpoint
@@ -126,8 +121,7 @@ class DensityModel:
     pathloss: PathLossParams
 
     def __post_init__(self):
-        if not (math.isfinite(self.side) and self.side > 0.0):
-            raise ValueError(f"side must be positive and finite, got {self.side}")
+        check_side(self.side)
         if not self.pathloss.r0 < SQRT3 * self.side / 2.0:
             raise ValueError(
                 f"close-in distance {self.pathloss.r0} m must be smaller than "
@@ -203,26 +197,27 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     limit, where the series closed form decays only polynomially.  The
     limits are clipped to the +-9.5 window where the Gaussian factor is
     non-negligible, which also keeps the evaluation stable for vanishing
-    sigma.
+    sigma.  Raises ValueError, naming l, sigma and beta, when mu or K(l)
+    leaves the floating-point range.
     """
     p = model.pathloss
     sigma = p.sigma_psi
     if not sigma > 0.0:
         raise ValueError("shadowing deviation must be positive")
-    mu = l - p.alpha + 2.0 * LN10 * sigma**2 / p.beta
-    z_max = (mu - p.beta * math.log10(model.side / p.r0)) / sigma
-    z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
     L2 = model.side * model.side
-
     try:
+        mu = l - p.alpha + 2.0 * LN10 * sigma**2 / p.beta
         prefactor = (4.0 * p.r0 * p.r0 * LN10 / (SQRT3 * L2 * p.beta)) * 10.0 ** (
             2.0 * (LN10 * sigma * sigma + p.beta * (l - p.alpha)) / (p.beta * p.beta)
         )
-    except OverflowError:
+    except ArithmeticError as exc:
         raise ValueError(
-            f"loss {l} dB overflows the closed-form prefactor; the model's maximum "
-            f"mean loss is {model.max_loss_db:.6g} dB"
+            f"loss {l} dB at sigma {sigma} dB and beta {p.beta} dB/decade is outside "
+            f"the floating-point range of the closed form ({type(exc).__name__}); "
+            f"the model's maximum mean loss is {model.max_loss_db:.6g} dB"
         ) from None
+    z_max = (mu - p.beta * math.log10(model.side / p.r0)) / sigma
+    z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
 
     lo = max(z_max / math.sqrt(2.0), -GAUSS_REACH)
     hi = min(z_knee / math.sqrt(2.0), GAUSS_REACH)

@@ -27,6 +27,14 @@ from .rng import VariateStream
 SQRT3 = math.sqrt(3.0)
 
 
+def check_side(side: float) -> float:
+    """The cell side as a float; raises ValueError unless it is positive and finite."""
+    side = float(side)
+    if not (math.isfinite(side) and side > 0.0):
+        raise ValueError(f"side must be positive and finite, got {side}")
+    return side
+
+
 class CellShape(str, enum.Enum):
     TRIANGLE60 = "triangle60"
     RHOMBUS120 = "rhombus120"
@@ -42,9 +50,7 @@ class CellGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", CellShape(self.shape))
-        object.__setattr__(self, "side", float(self.side))
-        if not (math.isfinite(self.side) and self.side > 0.0):
-            raise ValueError(f"side must be positive and finite, got {self.side}")
+        object.__setattr__(self, "side", check_side(self.side))
 
 
 def shape_vertices(geom: CellGeometry) -> np.ndarray:

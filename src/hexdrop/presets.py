@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .density import DensityModel
+from .geometry import check_side
 from .pathloss import PathLossParams
 
 
@@ -67,8 +68,7 @@ def load_preset(name: str, path: str | Path | None = None) -> ChannelPreset:
 
 def validate_cell_radius(preset: ChannelPreset, side: float) -> bool:
     """True iff the cell side lies in the preset's fitted radius range."""
-    if not side > 0.0:
-        raise ValueError(f"side must be positive, got {side}")
+    side = check_side(side)
     return preset.cell_radius_min_m <= side <= preset.cell_radius_max_m
 
 
@@ -78,7 +78,8 @@ def read_presets_file(path: str | Path) -> dict[str, ChannelPreset]:
     Raises ValueError, naming the file and the entry at fault, unless the
     file holds objects with distinct names and exactly the ChannelPreset
     fields: text for name and model_label, a finite int or float (not bool)
-    for the others.
+    for the others.  Each entry must also build its PathLossParams, and its
+    radius bounds must pass the cell-side rule with min <= max.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -100,5 +101,20 @@ def read_presets_file(path: str | Path) -> dict[str, ChannelPreset]:
                 raise ValueError(f"{where}: {key} is not finite ({value!r})")
         if entry["name"] in presets:
             raise ValueError(f"{where}: duplicate preset name {entry['name']!r}")
-        presets[entry["name"]] = ChannelPreset(**entry)
+        preset = ChannelPreset(**entry)
+        try:
+            preset.pathloss_params()
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        for key in ("cell_radius_min_m", "cell_radius_max_m"):
+            try:
+                check_side(entry[key])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from None
+        if not preset.cell_radius_min_m <= preset.cell_radius_max_m:
+            raise ValueError(
+                f"{where}: cell_radius_min_m {preset.cell_radius_min_m} exceeds "
+                f"cell_radius_max_m {preset.cell_radius_max_m}"
+            )
+        presets[entry["name"]] = preset
     return presets

@@ -20,6 +20,8 @@ class VariateStream:
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniforms(self, n: int) -> np.ndarray:

@@ -31,24 +31,29 @@ SPATIAL_SIGNIFICANCE = 1e-3
 
 @dataclass
 class DropTable:
-    """Columns of one simulated drop, all length n."""
+    """One simulated drop of n terminals.
 
-    x: np.ndarray
-    y: np.ndarray
+    xy is the (n, 2) array of positions that
+    :func:`hexdrop.geometry.sample_points` returned, x in column 0 and y
+    in column 1; r, w, psi and lp are length-n columns.
+    """
+
+    xy: np.ndarray
     r: np.ndarray
     w: np.ndarray
     psi: np.ndarray
     lp: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.xy)
 
 
 def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropTable:
-    """Drop n terminals and tabulate (x, y, r, mean loss, shadowing, loss).
+    """Drop n terminals and tabulate positions, r, mean loss, shadowing and loss.
 
-    Deterministic for a fixed seed: the stream is consumed as n x-uniforms,
-    n y-uniforms, n normals.
+    The positions stay the (n, 2) array from sample_points.  Deterministic
+    for a fixed seed: the stream is consumed as n x-uniforms, n y-uniforms,
+    n normals.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -57,7 +62,7 @@ def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropT
     r = np.hypot(xy[:, 0], xy[:, 1])
     w = mean_pathloss(pl, r)
     psi = pl.sigma_psi * stream.normals(n)
-    return DropTable(x=xy[:, 0], y=xy[:, 1], r=r, w=w, psi=psi, lp=w + psi)
+    return DropTable(xy=xy, r=r, w=w, psi=psi, lp=w + psi)
 
 
 def _write_columns(path: str | Path, header: str, columns) -> None:
@@ -72,7 +77,7 @@ def _write_columns(path: str | Path, header: str, columns) -> None:
 
 
 def write_samples_csv(path: str | Path, table: DropTable) -> None:
-    columns = (table.x, table.y, table.r, table.w, table.psi, table.lp)
+    columns = (table.xy[:, 0], table.xy[:, 1], table.r, table.w, table.psi, table.lp)
     _write_columns(path, "x_m,y_m,r_m,w_db,psi_db,lp_db", columns)
 
 
@@ -193,7 +198,7 @@ def run_verification(
     """Drop terminals, KS-test the losses, chi-square-test the positions."""
     table = run_drop(geom, model.pathloss, count, seed)
     ks = ks_test(table.lp, lambda v: shadowed_cdf(model, v))
-    chi2 = spatial_chi_square(geom, np.column_stack([table.x, table.y]))
+    chi2 = spatial_chi_square(geom, table.xy)
     report = VerifyReport(
         preset=preset_name,
         shape=geom.shape.value,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import hexdrop
 from hexdrop.cli import main
@@ -77,7 +78,7 @@ def test_pdf_explicit_range(tmp_path):
     assert (np.diff(l) > 0).all()
     assert (f >= 0).all()
     # the range covers the bulk of the support: trapezoid mass near 1
-    assert np.trapezoid(f, l) == pytest.approx(1.0, abs=1e-3)
+    assert trapezoid(f, l) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pdf_default_range_mass(tmp_path):
@@ -85,7 +86,7 @@ def test_pdf_default_range_mass(tmp_path):
     assert run(["pdf", "--preset", "urban-micro-los", "--side", "250", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-3)
+    assert trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pdf_with_oracle_column(tmp_path):
@@ -261,6 +262,9 @@ BAD_PRESET_FILES = {
     "bool-number": [dict(_GOOD_PRESET, r0_m=True)],
     "nan-number": [dict(_GOOD_PRESET, alpha_prime_db=float("nan"))],
     "duplicate-name": [_GOOD_PRESET, dict(_GOOD_PRESET, beta_db_per_decade=30.0)],
+    "negative-r0": [dict(_GOOD_PRESET, r0_m=-1)],
+    "negative-beta": [dict(_GOOD_PRESET, beta_db_per_decade=-3)],
+    "radius-min-above-max": [dict(_GOOD_PRESET, cell_radius_min_m=5000, cell_radius_max_m=100)],
 }
 
 
@@ -304,6 +308,61 @@ def test_pdf_prefactor_overflow_is_usage_error(tmp_path, capsys, argv, max_loss)
 def test_pdf_infinite_side_is_usage_error(tmp_path, capsys):
     assert run(["pdf", "--side", "inf", "--force-radius", "--out", str(tmp_path / "d.csv")]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == "error: side must be positive and finite, got inf"
+
+
+@pytest.mark.parametrize("side", ["inf", "nan", "-5"])
+def test_sample_invalid_side_is_usage_error(tmp_path, capsys, side):
+    assert run(["sample", "--side", side, "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: side must be positive and finite, got {float(side)}\n"
+
+
+def _preset_file(tmp_path, **fields):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([dict(_GOOD_PRESET, **fields)]), encoding="utf-8")
+    return ["--presets-file", str(path), "--preset", "x"]
+
+
+def test_pdf_tiny_beta_is_usage_error(tmp_path, capsys):
+    argv = ["pdf", *_preset_file(tmp_path, beta_db_per_decade=1e-300), "--side", "1000", "--step", "1"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss ") and "beta 1e-300 dB/decade" in err
+    assert "(ZeroDivisionError)" in err and "maximum mean loss is 34.5 dB" in err
+
+
+def test_verify_huge_sigma_is_usage_error(tmp_path, capsys):
+    argv = ["verify", *_preset_file(tmp_path, sigma_psi_db=1e200), "--side", "1000", "--count", "100"]
+    assert run(argv + ["--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss ") and "sigma 1e+200 dB" in err
+    assert "(OverflowError)" in err and "maximum mean loss is 139.5 dB" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--from", "100", "--to", "inf", "--step", "1"],
+         "need a finite loss range --from < --to, got [100.0, inf] dB"),
+        (["--step", "inf"], "need a finite --step > 0, got inf"),
+    ],
+    ids=["infinite-to", "infinite-step"],
+)
+def test_pdf_nonfinite_grid_is_usage_error(tmp_path, capsys, argv, message):
+    assert run(["pdf", "--side", "1000", *argv, "--out", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pdf_collapsed_default_range_names_the_range(tmp_path, capsys):
+    argv = ["pdf", *_preset_file(tmp_path, alpha_prime_db=1e308), "--side", "1000"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need a finite loss range --from < --to, got [1e+308, 1e+308] dB\n"
+
+
+def test_sample_negative_seed_is_usage_error(tmp_path, capsys):
+    assert run(["sample", "--side", "1000", "--seed", "-1", "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):

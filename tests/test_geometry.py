@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from hexdrop import CellGeometry, CellShape, point_in_shape
+from hexdrop import (
+    CellGeometry,
+    CellShape,
+    DensityModel,
+    load_preset,
+    point_in_shape,
+    radial_cdf,
+    radial_pdf,
+)
 from hexdrop.geometry import chord_y_bounds, shape_vertices, x_range
+from hexdrop.presets import validate_cell_radius
 
 from conftest import ALL_SHAPES
 
@@ -72,7 +81,18 @@ def test_chord_bounds_match_edge_intersections(shape):
         assert hi == pytest.approx(ehi, abs=1e-12)
 
 
-@pytest.mark.parametrize("side", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("side", [0.0, -1.0, float("nan"), float("inf")])
 def test_invalid_side_rejected(side):
-    with pytest.raises(ValueError):
-        CellGeometry(CellShape.HEXAGON, side)
+    # every owner of a cell side applies the one rule, with the one message
+    preset = load_preset("urban-macro")
+    checks = [
+        lambda: CellGeometry(CellShape.HEXAGON, side),
+        lambda: DensityModel(side, preset.pathloss_params()),
+        lambda: radial_pdf(side, 5.0),
+        lambda: radial_cdf(side, 5.0),
+        lambda: validate_cell_radius(preset, side),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == f"side must be positive and finite, got {side}"

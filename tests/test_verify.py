@@ -16,6 +16,7 @@ from hexdrop import (
     shadowed_cdf,
     spatial_chi_square,
 )
+import hexdrop.verify as verify
 from hexdrop.verify import (
     VerifyReport,
     equal_area_bin_counts,
@@ -39,10 +40,11 @@ def test_run_drop_columns_consistent():
     geom, pl = _macro()
     t = run_drop(geom, pl, 5000, seed=1)
     assert len(t) == 5000
-    assert np.allclose(t.r, np.hypot(t.x, t.y))
+    assert t.xy.shape == (5000, 2)
+    assert np.allclose(t.r, np.hypot(t.xy[:, 0], t.xy[:, 1]))
     assert np.allclose(t.lp, t.w + t.psi)
     assert (t.r <= geom.side).all()
-    assert point_in_shape(geom, np.column_stack([t.x, t.y])).all()
+    assert point_in_shape(geom, t.xy).all()
     # unbiased shadowing
     sig = pl.sigma_psi
     assert abs(t.psi.mean()) < 3.0 * sig / math.sqrt(len(t))
@@ -52,10 +54,30 @@ def test_run_drop_deterministic():
     geom, pl = _macro()
     a = run_drop(geom, pl, 2000, seed=7)
     b = run_drop(geom, pl, 2000, seed=7)
-    for col in ("x", "y", "r", "w", "psi", "lp"):
+    for col in ("xy", "r", "w", "psi", "lp"):
         assert np.array_equal(getattr(a, col), getattr(b, col))
     c = run_drop(geom, pl, 2000, seed=8)
     assert not np.array_equal(a.lp, c.lp)
+
+
+def test_run_verification_passes_the_sampled_positions(monkeypatch):
+    # the (n, 2) array from sample_points reaches spatial_chi_square uncopied
+    sampled, tested = [], []
+
+    def sample(*args):
+        sampled.append(sample_points(*args))
+        return sampled[-1]
+
+    def chi_square(geom, xy):
+        tested.append(xy)
+        return spatial_chi_square(geom, xy)
+
+    monkeypatch.setattr(verify, "sample_points", sample)
+    monkeypatch.setattr(verify, "spatial_chi_square", chi_square)
+    geom = CellGeometry(CellShape.HEXAGON, 1000.0)
+    run_verification(geom, preset_model("urban-macro", 1000.0), "urban-macro", 500, 3)
+    assert len(sampled) == 1 and len(tested) == 1
+    assert tested[0] is sampled[0]
 
 
 def test_run_drop_rejects_empty():
