@@ -115,6 +115,13 @@ def _cmd_pdf(args) -> int:
         raise ValueError(f"need a finite --step > 0, got {args.step}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need a finite loss range --from < --to, got [{lo}, {hi}] dB")
+    # np.arange's own error for a grid too long to allocate names neither bound
+    count = (hi - lo) / args.step + 1.0
+    if not count < np.iinfo(np.intp).max / np.dtype(float).itemsize:
+        raise ValueError(
+            f"the grid --from {lo} --to {hi} --step {args.step} dB has {count:.3g} points, "
+            "more than an array can hold"
+        )
     grid = np.arange(lo, hi + args.step / 2.0, args.step)
     closed = np.array([shadowed_pdf(model, float(l)) for l in grid])
     oracle = None

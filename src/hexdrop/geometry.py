@@ -12,6 +12,10 @@ drawn through the piecewise inverse of its marginal CDF, then y is drawn
 uniformly on the vertical chord at that x.  The piecewise inverses below
 follow from the uniform joint density 1/area; each piece agrees with its
 neighbour at the junction, so the inverse is continuous on (0, 1).
+
+Each shape is stated in three places only: its vertices, its chord
+bounds and its inverse marginal.  The x-range and the marginal CDF are
+derived from the first two, so they hold for every shape alike.
 """
 
 from __future__ import annotations
@@ -74,13 +78,9 @@ def shape_vertices(geom: CellGeometry) -> np.ndarray:
 
 
 def x_range(geom: CellGeometry) -> tuple[float, float]:
-    """Closed range of x covered by the contour."""
-    L = geom.side
-    if geom.shape is CellShape.TRIANGLE60:
-        return 0.0, L
-    if geom.shape is CellShape.RHOMBUS120:
-        return -L / 2.0, L
-    return -L, L
+    """Closed range of x covered by the contour: its extreme vertex abscissae."""
+    xs = shape_vertices(geom)[:, 0]
+    return float(xs.min()), float(xs.max())
 
 
 def chord_y_bounds(geom: CellGeometry, x):
@@ -202,36 +202,27 @@ def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarr
 
 
 def marginal_x_cdf(geom: CellGeometry, x):
-    """CDF of the x coordinate: the integral of chord width over area."""
+    """CDF of the x coordinate: the integral of chord width over area.
+
+    The chord width is linear between consecutive vertex abscissae, so the
+    integral is a sum of whole trapezoids plus the partial one ending at x.
+    Both come from one expression, so the CDF is exactly 0.0 at and below
+    the left end of :func:`x_range` and exactly 1.0 at and above the right
+    end; a NaN x gives NaN.
+    """
     arr = np.asarray(x, dtype=float)
-    L = geom.side
-    L2 = L * L
-    if geom.shape is CellShape.TRIANGLE60:
-        cdf = np.select(
-            [arr <= 0.0, arr <= L / 2.0, arr <= L],
-            [0.0, 2.0 * arr * arr / L2, 1.0 - 2.0 * (L - arr) ** 2 / L2],
-            default=1.0,
-        )
-    elif geom.shape is CellShape.RHOMBUS120:
-        cdf = np.select(
-            [arr <= -L / 2.0, arr <= 0.0, arr <= L / 2.0, arr <= L],
-            [
-                0.0,
-                (arr + L / 2.0) ** 2 / L2,
-                0.25 + arr / L,
-                1.0 - (L - arr) ** 2 / L2,
-            ],
-            default=1.0,
-        )
-    else:
-        cdf = np.select(
-            [arr <= -L, arr <= -L / 2.0, arr <= L / 2.0, arr <= L],
-            [
-                0.0,
-                2.0 * (arr + L) ** 2 / (3.0 * L2),
-                0.5 + 2.0 * arr / (3.0 * L),
-                1.0 - 2.0 * (L - arr) ** 2 / (3.0 * L2),
-            ],
-            default=1.0,
-        )
+    knots = np.unique(shape_vertices(geom)[:, 0])
+    lo, hi = chord_y_bounds(geom, knots)
+    width = hi - lo
+    run = np.diff(knots)
+    slope = np.diff(width) / run
+
+    def trapezoid(i, dx):  # area over [knots[i], knots[i] + dx]
+        return dx * (width[i] + slope[i] * dx / 2.0)
+
+    cum = np.concatenate([[0.0], np.cumsum(trapezoid(np.arange(len(run)), run))])
+    i = np.zeros(arr.shape, dtype=np.intp)  # the piece holding x
+    for k in knots[1:-1]:
+        i += arr >= k
+    cdf = (cum[i] + trapezoid(i, np.clip(arr, knots[0], knots[-1]) - knots[i])) / cum[-1]
     return float(cdf) if np.ndim(x) == 0 else cdf

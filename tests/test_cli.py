@@ -230,6 +230,16 @@ GOLDEN = [
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
+    (
+        ["verify", "--shape", "triangle60", "--side", "1000", "--count", "2000", "--seed", "3",
+         "--gnuplot", "--report", "report.json"],
+        {
+            "report.json": "86d449302f85997716865381ea2ff3b5d5f87a1438aebb052404514788466ca6",
+            "report_samples.csv": "fef89412a92e11ca61d0e03aed84b836640181aed339955be98144441780ee5e",
+            "report_curve.csv": "55bb36f2ba52ea0aabbb3cc02a42610d40104988d0b5026602f251d68b24e11c",
+            "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
+        },
+    ),
 ]
 
 
@@ -345,8 +355,12 @@ def test_verify_huge_sigma_is_usage_error(tmp_path, capsys):
         (["--from", "100", "--to", "inf", "--step", "1"],
          "need a finite loss range --from < --to, got [100.0, inf] dB"),
         (["--step", "inf"], "need a finite --step > 0, got inf"),
+        (["--from", "100", "--to", "1e300", "--step", "1"],
+         "the grid --from 100.0 --to 1e+300 --step 1.0 dB has 1e+300 points, more than an array can hold"),
+        (["--from", "100", "--to", "200", "--step", "1e-300"],
+         "the grid --from 100.0 --to 200.0 --step 1e-300 dB has 1e+302 points, more than an array can hold"),
     ],
-    ids=["infinite-to", "infinite-step"],
+    ids=["infinite-to", "infinite-step", "too-wide", "too-fine"],
 )
 def test_pdf_nonfinite_grid_is_usage_error(tmp_path, capsys, argv, message):
     assert run(["pdf", "--side", "1000", *argv, "--out", str(tmp_path / "d.csv")]) == 2

@@ -80,21 +80,27 @@ def test_cdf_round_trip(shape):
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_marginal_matches_chord_quadrature(shape):
-    """The analytic marginal CDF equals the integral of chord width / area."""
-    L = 1.3
-    geom = CellGeometry(shape, L)
-    lo_x, hi_x = x_range(geom)
-    area = shoelace(shape_vertices(geom))
-    kinks = [-L, -L / 2.0, 0.0, L / 2.0, L]
+    """The marginal CDF equals the integral of chord width / area, exact at the ends."""
+    for L in (1.0, 1.3, 730.0, 3500.0):
+        geom = CellGeometry(shape, L)
+        lo_x, hi_x = x_range(geom)
+        area = shoelace(shape_vertices(geom))
+        kinks = [-L, -L / 2.0, 0.0, L / 2.0, L]
 
-    def width(x):
-        lo, hi = _chord_from_edges(geom, x)
-        return (hi - lo) / area
+        def width(x):
+            lo, hi = _chord_from_edges(geom, x)
+            return (hi - lo) / area
 
-    for x in np.linspace(lo_x + 1e-6, hi_x, 23):
-        pts = [k for k in kinks if lo_x < k < x]
-        ref, err = integrate.quad(width, lo_x, x, points=pts, epsabs=1e-12, limit=200)
-        assert marginal_x_cdf(geom, x) == pytest.approx(ref, abs=1e-9)
+        for x in np.linspace(lo_x + 1e-6, hi_x, 23):
+            pts = [k for k in kinks if lo_x < k < x]
+            ref, err = integrate.quad(width, lo_x, x, points=pts, epsabs=1e-12, limit=200)
+            assert marginal_x_cdf(geom, x) == pytest.approx(ref, abs=1e-9)
+
+        for x in (lo_x, lo_x - 1e-9 * L, lo_x - L, -np.inf):
+            assert marginal_x_cdf(geom, x) == 0.0
+        for x in (hi_x, hi_x + 1e-9 * L, hi_x + L, np.inf):
+            assert marginal_x_cdf(geom, x) == 1.0
+        assert (np.diff(marginal_x_cdf(geom, np.linspace(lo_x, hi_x, 100_001))) >= 0.0).all()
 
 
 def test_sample_y_examples():
