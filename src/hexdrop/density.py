@@ -193,12 +193,14 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
                * asin(sqrt(3) L / (2 r0 10^((mu - sqrt(2) sigma v)/beta))) dv
 
     The integral runs through :func:`hexdrop.numerics.arcsine_gauss_integral`
-    by adaptive quadrature: the arcsine argument reaches 1 at the upper
+    by Gauss-Kronrod quadrature: the arcsine argument reaches 1 at the upper
     limit, where the series closed form decays only polynomially.  The
-    limits are clipped to the +-9.5 window where the Gaussian factor is
-    non-negligible, which also keeps the evaluation stable for vanishing
-    sigma.  Raises ValueError, naming l, sigma and beta, when mu or K(l)
-    leaves the floating-point range.
+    integration window starts at max(z_max/sqrt2, -9.5) and ends at most
+    9.5 past max(start, 0): beyond that the Gaussian factor is below e^-90
+    of its largest value in the window, negligible next to the Q terms
+    however far into the upper tail, and the evaluation stays stable for
+    vanishing sigma.  Raises ValueError, naming l, sigma and beta, when mu
+    or K(l) leaves the floating-point range.
     """
     p = model.pathloss
     sigma = p.sigma_psi
@@ -220,7 +222,7 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
 
     lo = max(z_max / math.sqrt(2.0), -GAUSS_REACH)
-    hi = min(z_knee / math.sqrt(2.0), GAUSS_REACH)
+    hi = min(z_knee / math.sqrt(2.0), max(lo, 0.0) + GAUSS_REACH)
     if hi > lo:
         params = ArcsineGaussParams(
             scale=SQRT3 * model.side / (2.0 * p.r0),
@@ -243,7 +245,7 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
 
 def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> float:
     """Brute-force shadowed density: convolve the Gaussian with the
-    shadow-free density by adaptive quadrature.
+    shadow-free density by adaptive Simpson quadrature.
 
     The integrand in the shadowing variable tau is
     gaussian(tau) * pathloss_pdf(l - tau); it vanishes for

@@ -1,13 +1,15 @@
 """Special functions and integration used by the density evaluators.
 
-Three pieces: the Gaussian tail (Q) function, a recursive adaptive
-Simpson integrator (with a variant for a square-root cusp), and the integral
+Four pieces: the Gaussian tail (Q) function, a vectorised adaptive
+Gauss-Kronrod (G7/K15) integrator, a recursive adaptive Simpson
+integrator (with a variant for a square-root cusp) that serves only the
+convolution oracle, and the integral
 
     I(k, a, b; x1, x2) = int_{x1}^{x2} exp(-x^2) * asin(k * 10^-(a + b x)) dx
 
-evaluated either by quadrature or by a series closed form obtained by
-expanding the arcsine in its Taylor series and integrating the resulting
-Gaussian-exponential terms exactly.
+evaluated either by Gauss-Kronrod quadrature or by a series closed form
+obtained by expanding the arcsine in its Taylor series and integrating the
+resulting Gaussian-exponential terms exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from scipy import special
 
 SQRT_PI = math.sqrt(math.pi)
+SQRT2 = math.sqrt(2.0)
 LN10 = math.log(10.0)
 
 # Arguments this far above 1 are treated as rounding and clamped; anything
@@ -27,11 +30,37 @@ LN10 = math.log(10.0)
 ARG_CLAMP = 1e-12
 
 SERIES_MAX_TERMS = 500
-MAX_DEPTH = 48  # adaptive Simpson's recursion cap
+MAX_DEPTH = 48  # bisection depth cap of both adaptive integrators
+
+# QUADPACK's qk15 pair (Piessens et al., 1983) on [-1, 1]: each node, its
+# K15 weight and its G7 weight (zero on the nodes Kronrod added), the
+# positive half and then the centre.  K15 is exact for polynomials of
+# degree 22, G7 for degree 13.
+_KRONROD_HALF = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_GK_CENTRE = (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+_GK_NODES, _K15_WEIGHTS, _G7_WEIGHTS = np.array(
+    [(-x, wk, wg) for x, wk, wg in _KRONROD_HALF] + [_GK_CENTRE] + list(reversed(_KRONROD_HALF))
+).T
+GK_PANELS = 4  # panels of the first Gauss-Kronrod pass
+_GK_EDGES = np.arange(GK_PANELS + 1) / GK_PANELS
+# A panel is accepted once |K - G| is within this share of |K| whatever
+# its share of tol: the pair then agrees to rounding.
+GK_ROUNDING = 1e-14
+# Open panels at once before gauss_kronrod gives up: a noisy integrand
+# fails on every panel, which would otherwise double them each round.
+GK_MAX_PANELS = 4096
 
 
 class NonConvergenceError(RuntimeError):
-    """Quadrature hit the recursion-depth cap before reaching tolerance."""
+    """Quadrature hit its depth or panel cap before reaching tolerance."""
 
 
 class SeriesDivergenceError(NonConvergenceError):
@@ -40,7 +69,9 @@ class SeriesDivergenceError(NonConvergenceError):
 
 def q_function(x):
     """Standard normal tail probability Q(x) = erfc(x/sqrt(2)) / 2."""
-    q = 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    if isinstance(x, float):
+        return 0.5 * math.erfc(x / SQRT2)
+    q = 0.5 * special.erfc(np.asarray(x, dtype=float) / SQRT2)
     return float(q) if np.ndim(x) == 0 else q
 
 
@@ -73,7 +104,9 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
 
     Classic recursive adaptive Simpson with the 15x Richardson acceptance
     test; exact on cubics at the first level.  Raises NonConvergenceError
-    if MAX_DEPTH is reached before the tolerance is met.
+    if MAX_DEPTH is reached before the tolerance is met.  It serves only
+    the convolution oracle, which thereby stays a different method from
+    the closed form's :func:`gauss_kronrod`.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -82,12 +115,58 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
     return _adaptive(f, lo, fa, hi, fb, m, fm, whole, tol, MAX_DEPTH)
 
 
-def cusp_simpson(f, cusp: float, other: float, tol: float) -> float:
-    """Integrate f over the interval between cusp and other, f having a
-    square-root cusp at cusp: x = cusp -/+ s^2 makes it smooth in s."""
+def _cusp_smoothed(f, cusp: float, other: float):
+    """(g, h) with the integral of f between cusp and other equal to that
+    of g over [0, h], f having a square-root cusp at cusp: x = cusp -/+ s^2
+    makes it smooth in s.  g takes what f takes, floats or arrays."""
     sign = -1.0 if other < cusp else 1.0
-    g = lambda s: 2.0 * s * f(cusp + sign * (s * s))
-    return adaptive_simpson(g, 0.0, math.sqrt(abs(cusp - other)), tol)
+    return (lambda s: 2.0 * s * f(cusp + sign * (s * s))), math.sqrt(abs(cusp - other))
+
+
+def cusp_simpson(f, cusp: float, other: float, tol: float) -> float:
+    """adaptive_simpson of f over the interval between cusp and other, f
+    having a square-root cusp at cusp."""
+    g, h = _cusp_smoothed(f, cusp, other)
+    return adaptive_simpson(g, 0.0, h, tol)
+
+
+def gauss_kronrod(f, lo: float, hi: float, tol: float) -> float:
+    """Integrate f over [lo, hi] to absolute tolerance tol, lo <= hi.
+
+    f maps an array of abscissae to an array of values.  Each round applies
+    the G7/K15 pair to every open panel in one call of f, starting from
+    GK_PANELS equal panels; a panel is accepted when |K - G| is within its
+    width's share of tol, or within GK_ROUNDING * |K|, and the others are
+    bisected.  The sum of the accepted K15 values is returned.  Raises
+    NonConvergenceError after MAX_DEPTH bisection rounds, or when more
+    than GK_MAX_PANELS panels are open at once.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if lo == hi:
+        return 0.0
+    edges = lo + (hi - lo) * _GK_EDGES
+    a, b = edges[:-1], edges[1:]
+    share = tol / (hi - lo)
+    total = 0.0
+    for _ in range(MAX_DEPTH + 1):
+        half = 0.5 * (b - a)
+        fx = f((a + half)[:, None] + half[:, None] * _GK_NODES)
+        k = half * (fx @ _K15_WEIGHTS)
+        err = np.abs(k - half * (fx @ _G7_WEIGHTS))
+        done = (err <= share * (b - a)) | (err <= GK_ROUNDING * np.abs(k))
+        total += float(k[done].sum())
+        if done.all():
+            return total
+        a, b = a[~done], b[~done]
+        if 2 * a.size > GK_MAX_PANELS:
+            break
+        mid = a + 0.5 * (b - a)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    raise NonConvergenceError(
+        f"Gauss-Kronrod did not reach tol={tol:g} on [{lo}, {hi}]: "
+        f"{int(np.count_nonzero(~done))} panels unresolved, largest |K - G| {float(err.max()):.3e}"
+    )
 
 
 @dataclass(frozen=True)
@@ -112,12 +191,15 @@ class ArcsineGaussParams:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     def argument(self, x):
-        return self.scale * 10.0 ** (-(self.offset + self.slope * np.asarray(x, dtype=float)))
+        """The arcsine argument at x, a float or an array."""
+        return self.scale * 10.0 ** (-(self.offset + self.slope * x))
 
 
 def _checked_endpoint_args(p: ArcsineGaussParams) -> tuple[float, float]:
-    a_lo = float(p.argument(p.lo))
-    a_hi = float(p.argument(p.hi))
+    try:
+        a_lo, a_hi = p.argument(p.lo), p.argument(p.hi)
+    except OverflowError:
+        raise ValueError("arcsine argument overflows on the interval") from None
     if max(a_lo, a_hi) > 1.0 + ARG_CLAMP:
         raise ValueError(
             f"arcsine argument exceeds 1 on the interval (max {max(a_lo, a_hi):.6g})"
@@ -167,15 +249,15 @@ def _series_value(p: ArcsineGaussParams, tol: float) -> float:
 
 
 def _quadrature_value(p: ArcsineGaussParams, arg_lo: float, arg_hi: float, tol: float) -> float:
-    def integrand(x: float) -> float:
-        a = p.scale * 10.0 ** (-(p.offset + p.slope * x))
-        return math.exp(-x * x) * math.asin(min(a, 1.0))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.exp(-x * x) * np.arcsin(np.minimum(p.argument(x), 1.0))
 
     if max(arg_lo, arg_hi) <= 0.999:
-        return adaptive_simpson(integrand, p.lo, p.hi, tol)
+        return gauss_kronrod(integrand, p.lo, p.hi, tol)
     # the arcsine derivative blows up at the end where the argument reaches 1
     cusp, other = (p.hi, p.lo) if arg_hi >= arg_lo else (p.lo, p.hi)
-    return cusp_simpson(integrand, cusp, other, tol)
+    g, h = _cusp_smoothed(integrand, cusp, other)
+    return gauss_kronrod(g, 0.0, h, tol)
 
 
 def arcsine_gauss_integral(
@@ -183,8 +265,10 @@ def arcsine_gauss_integral(
 ) -> float:
     """Evaluate the Gaussian-arcsine integral.
 
-    method "quadrature" integrates adaptively (authoritative path); method
-    "series" sums the Taylor closed form, truncated once the next term
+    method "quadrature" (authoritative path) integrates to absolute tolerance
+    tol by :func:`gauss_kronrod`, in the variable x = cusp -/+ s^2 when the
+    argument reaches 1 at an end, where the arcsine has a square-root cusp;
+    method "series" sums the Taylor closed form, truncated once the next term
     falls below tol times the partial sum (at least 4 terms).  It converges
     fast while the arcsine argument stays below 1 on the interval; where the
     argument touches 1 its tail is polynomial, and SeriesDivergenceError is

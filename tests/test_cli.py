@@ -182,20 +182,20 @@ GOLDEN = [
     (
         ["pdf", "--preset", "urban-macro", "--side", "1000", "--from", "120", "--to", "150",
          "--step", "1", "--out", "pdf.csv"],
-        {"pdf.csv": "96c45dbcc8726623e9f3f255ea55e0c917f99badda4d3c103837e6a557532b47"},
+        {"pdf.csv": "6b1b60a1edf5b89120cdf8426e569ca3d5770d0a62bb928f9781190c691d9728"},
     ),
     (
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--out", "pdf.csv"],
-        {"pdf.csv": "15408785df580527fce2d5301bdabd244a8d110725f82011cc50a19cbf3a03f8"},
+        {"pdf.csv": "c5a02131358e85391492d1757097090cd9d17c8161adcf4c3c331a7ccf9f2889"},
     ),
     (
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
          "--report", "report.json"],
         {
-            "report.json": "705e5f095222cb95437b359a001a376296cb224a1252502b4d5ec1c147b1b80f",
+            "report.json": "d81f9546d1c1f50e3159be482822499d23612bd82768611e9e133390ca4d829c",
             "report_samples.csv": "fd8884e624c126be75067675912a7bd1243b9e000628cb1ba0a132fd52d8d0cc",
-            "report_curve.csv": "55bb36f2ba52ea0aabbb3cc02a42610d40104988d0b5026602f251d68b24e11c",
+            "report_curve.csv": "0a7691e488edf7fe660205cb71919c5d14e83bd38bf97d30a69f7e670c05ae1f",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
@@ -203,7 +203,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "15408785df580527fce2d5301bdabd244a8d110725f82011cc50a19cbf3a03f8",
+            "pdf.csv": "c5a02131358e85391492d1757097090cd9d17c8161adcf4c3c331a7ccf9f2889",
             "pdf.csv.gp": "4b67b43ee2a4b9526e007a5db9345de59a164e0baee816b7831d21b2d0cc79de",
         },
     ),
@@ -211,7 +211,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "98cf72a8ce1fea281b4865928d9dfba5875f4a35b50d9c6a43ddd53ee7ad8302",
+            "pdf.csv": "efa956fbbe99a0d59727c767bec5b2761a8204d3f5cad9dfe2c30f1dd81774c2",
             "pdf.csv.gp": "69998c9d5125a26045846dd5724b331278e5a6687618e9bc67a846f6f145b33e",
         },
     ),
@@ -224,9 +224,9 @@ GOLDEN = [
         ["verify", "--shape", "rhombus120", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "8b484b2974451f020b9e7334053ad11562b6d76ee138d73126e2459df60acccd",
+            "report.json": "b29eb7fcfda55977361af682c44bb7b3e2a9e5efef9830431e0c46c17ffe5eed",
             "report_samples.csv": "25dd7062d2e18f82bafad5d5fdbc674450c71ff39b9d9936685644715f93049d",
-            "report_curve.csv": "55bb36f2ba52ea0aabbb3cc02a42610d40104988d0b5026602f251d68b24e11c",
+            "report_curve.csv": "0a7691e488edf7fe660205cb71919c5d14e83bd38bf97d30a69f7e670c05ae1f",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
@@ -234,9 +234,9 @@ GOLDEN = [
         ["verify", "--shape", "triangle60", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "86d449302f85997716865381ea2ff3b5d5f87a1438aebb052404514788466ca6",
+            "report.json": "9c46d92f0aecbf8ac4f2c7d8c0b692ee56174ee40d6339eec928eaa0da46d19e",
             "report_samples.csv": "fef89412a92e11ca61d0e03aed84b836640181aed339955be98144441780ee5e",
-            "report_curve.csv": "55bb36f2ba52ea0aabbb3cc02a42610d40104988d0b5026602f251d68b24e11c",
+            "report_curve.csv": "0a7691e488edf7fe660205cb71919c5d14e83bd38bf97d30a69f7e670c05ae1f",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),

@@ -112,6 +112,46 @@ def test_closed_form_matches_convolution(name, side):
         assert closed == pytest.approx(conv, rel=1e-6)
 
 
+def _quad_convolution(m, l):
+    """Shadowed density at l: scipy's quad of the Gaussian against
+    pathloss_pdf, split at the knee and the maximum, to epsrel 1e-12."""
+    sig = m.pathloss.sigma_psi
+
+    def integrand(w):
+        d = (l - w) / sig
+        return math.exp(-0.5 * d * d) / (math.sqrt(2.0 * math.pi) * sig) * pathloss_pdf(m, w)
+
+    pieces = ((-math.inf, m.knee_loss_db), (m.knee_loss_db, m.max_loss_db))
+    return sum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0] for a, b in pieces)
+
+
+@pytest.mark.parametrize("name,side", [("urban-micro-los", 250.0), ("urban-macro", 1000.0)])
+def test_upper_tail_matches_quad_convolution(name, side):
+    # every 0.1 dB from max + 3 sigma to the end of the default pdf range at
+    # max + 6 sigma, where the density is orders of magnitude below the
+    # integral's absolute tolerance; then every sigma / 2 on to max + 16
+    # sigma, past where the integral's window once left the interval
+    m = preset_model(name, side)
+    sig = m.pathloss.sigma_psi
+    default_range = m.max_loss_db + 3.0 * sig + 0.1 * np.arange(round(3.0 * sig / 0.1) + 1)
+    far = m.max_loss_db + sig * np.arange(6.5, 16.01, 0.5)
+    worst = max(
+        abs(shadowed_pdf(m, l) / _quad_convolution(m, l) - 1.0) for l in np.concatenate([default_range, far])
+    )
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("sigma", [32.0, 64.0, 200.0])
+def test_large_sigma_matches_quad_convolution(sigma):
+    # the square-completion shift 2 ln10 sigma^2 / beta puts the integral's
+    # interval ever further above zero as sigma grows (by 26 sigma at 200 dB)
+    pre = preset_model("urban-macro", 1000.0).pathloss
+    m = DensityModel(1000.0, PathLossParams(pre.alpha, pre.beta, pre.r0, sigma))
+    lo = m.knee_loss_db - max(6.0 * sigma, 2.5 * pre.beta)
+    for l in np.linspace(lo, m.max_loss_db + 6.0 * sigma, 13):
+        assert shadowed_pdf(m, l) == pytest.approx(_quad_convolution(m, l), rel=1e-8, abs=0.0)
+
+
 @pytest.mark.parametrize("name,side", PRESET_CASES)
 def test_closed_form_normalizes(name, side):
     m = preset_model(name, side)

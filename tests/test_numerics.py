@@ -11,7 +11,13 @@ from hexdrop import (
     arcsine_gauss_integral,
     load_preset,
 )
-from hexdrop.numerics import _log_asin_taylor_coeff, _series_value, adaptive_simpson, q_function
+from hexdrop.numerics import (
+    _log_asin_taylor_coeff,
+    _series_value,
+    adaptive_simpson,
+    gauss_kronrod,
+    q_function,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -68,6 +74,38 @@ def test_simpson_depth_cap_signals_failure():
         adaptive_simpson(step, 0.0, 1.0, 1e-13)
 
 
+def test_gauss_kronrod_exact_on_degree_22_in_one_pass():
+    # K15 is exact to degree 22 and G7 only to 13: the first pass is
+    # accepted on the pair's gap and already carries the exact value
+    poly = np.polynomial.Polynomial(np.random.default_rng(22).normal(size=23))
+    exact = poly.integ()(1.0) - poly.integ()(0.0)
+    calls = []
+    val = gauss_kronrod(lambda x: (calls.append(x.shape), poly(x))[1], 0.0, 1.0, 1e-6)
+    assert calls == [(4, 15)]
+    assert val == pytest.approx(exact, rel=1e-14)
+
+
+def test_gauss_kronrod_gaussian():
+    val = gauss_kronrod(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-13)
+    assert abs(val - SQRT_PI / 2.0) <= 1e-13
+
+
+def test_gauss_kronrod_edge_cases():
+    assert gauss_kronrod(np.sin, 1.0, 1.0, 1e-10) == 0.0
+    with pytest.raises(ValueError):
+        gauss_kronrod(np.sin, 0.0, 1.0, 0.0)
+
+
+def test_gauss_kronrod_caps_signal_failure():
+    # a jump never meets its panel's share of tol: the round cap ends it
+    with pytest.raises(NonConvergenceError):
+        gauss_kronrod(lambda x: np.where(x < 1.0 / math.e, 0.0, 1.0), 0.0, 1.0, 1e-13)
+    # noise fails on every panel: the panel cap ends it before memory grows
+    noise = np.random.default_rng(0)
+    with pytest.raises(NonConvergenceError):
+        gauss_kronrod(lambda x: noise.random(x.shape), 0.0, 1.0, 1e-13)
+
+
 # ------------------------------------------------- Gaussian-arcsine integral
 
 
@@ -119,11 +157,13 @@ def test_series_matches_quadrature_random():
 
 
 def test_argument_above_one_rejected():
-    p = ArcsineGaussParams(scale=1.2, offset=0.0, slope=0.5, lo=-1.0, hi=1.0)
-    with pytest.raises(ValueError):
-        arcsine_gauss_integral(p, "quadrature")
-    with pytest.raises(ValueError):
-        arcsine_gauss_integral(p, "series")
+    # the second argument, 10^400, overflows a float
+    for scale, offset in ((1.2, 0.0), (1.0, -400.0)):
+        p = ArcsineGaussParams(scale=scale, offset=offset, slope=0.5, lo=-1.0, hi=1.0)
+        with pytest.raises(ValueError):
+            arcsine_gauss_integral(p, "quadrature")
+        with pytest.raises(ValueError):
+            arcsine_gauss_integral(p, "series")
 
 
 def test_argument_rounding_clamped():
