@@ -173,6 +173,9 @@ def _cmd_verify(args) -> int:
                 f"     '{curve_csv.name}' every ::1 using 1:2 with lines title 'closed form'",
             ],
         )
+    if report.count < 5 * report.chi2_bins:
+        print(f"warning: n={report.count} expects under 5 terminals in each of {report.chi2_bins} "
+              "chi-square bins; the tests have little power at this count", file=sys.stderr)
     print(
         f"{preset.name} {geom.shape.value} side={geom.side} n={report.count} seed={report.seed}: "
         f"ks={report.ks_statistic:.6f} (crit {report.ks_critical:.6f}), "

@@ -252,20 +252,20 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
     tau < l - max_loss, switches branch at tau = l - knee and decays under
     the Gaussian envelope beyond +-9.5 sigma.  The integration range is
     split at those points (plus a few Gaussian landmarks, so the adaptive
-    rule cannot step over a narrow bump) and each piece integrated to tol.
-    The shadow-free density has a square-root cusp where its arcsine
-    argument reaches 1 (at tau = l - knee); the segment ending there is
-    integrated in the substituted variable s = sqrt(t_knee - tau), which
-    removes the cusp.
+    rule cannot step over a narrow bump) and each piece integrated to the
+    absolute tolerance tol, all in one breadth-first call.  The shadow-free
+    density has a square-root cusp where its arcsine argument reaches 1 (at
+    tau = l - knee); the segment ending there takes one more call, in the
+    variable s = sqrt(t_knee - tau), which removes the cusp.
     """
     p = model.pathloss
     sigma = p.sigma_psi
     if not sigma > 0.0:
         raise ValueError("shadowing deviation must be positive")
 
-    def integrand(tau: float) -> float:
-        gauss = math.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-        return gauss * float(pathloss_pdf(model, l - tau))
+    def integrand(tau: np.ndarray) -> np.ndarray:
+        gauss = np.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+        return gauss * pathloss_pdf(model, l - tau)
 
     t_low = l - model.max_loss_db  # below: shadow-free density is zero
     t_knee = l - model.knee_loss_db
@@ -278,15 +278,11 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
     for landmark in (-reach, -6 * sigma, -3 * sigma, peak, 0.0, 3 * sigma, 6 * sigma, reach):
         if t_low < landmark < upper:
             cuts.add(landmark)
-    grid = sorted(c for c in cuts if max(t_low, -reach - abs(peak)) <= c <= upper)
-
-    total = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        if b == t_knee:
-            total += cusp_simpson(integrand, t_knee, a, tol)
-        else:
-            total += adaptive_simpson(integrand, a, b, tol)
-    return total
+    grid = np.array(sorted(c for c in cuts if max(t_low, -reach - abs(peak)) <= c <= upper))
+    a, b = grid[:-1], grid[1:]
+    plain = b != t_knee
+    total = adaptive_simpson(integrand, a[plain], b[plain], tol)
+    return total + sum(cusp_simpson(integrand, t_knee, float(x), tol) for x in a[~plain])
 
 
 def exponent_merge_identity(model: DensityModel, l: float, tau: float) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Special functions and integration used by the density evaluators.
 
-Four pieces: the Gaussian tail (Q) function, a vectorised adaptive
-Gauss-Kronrod (G7/K15) integrator, a recursive adaptive Simpson
-integrator (with a variant for a square-root cusp) that serves only the
-convolution oracle, and the integral
+Four pieces: the Gaussian tail (Q) function, one breadth-first adaptive
+loop on arrays with two rule pairs, Gauss-Kronrod (G7/K15) for the closed
+form and Simpson (with a variant for a square-root cusp) for the convolution
+oracle, and the integral
 
     I(k, a, b; x1, x2) = int_{x1}^{x2} exp(-x^2) * asin(k * 10^-(a + b x)) dx
 
@@ -30,7 +30,7 @@ LN10 = math.log(10.0)
 ARG_CLAMP = 1e-12
 
 SERIES_MAX_TERMS = 500
-MAX_DEPTH = 48  # bisection depth cap of both adaptive integrators
+MAX_DEPTH = 48  # cap on the adaptive loop's bisection rounds
 
 # QUADPACK's qk15 pair (Piessens et al., 1983) on [-1, 1]: each node, its
 # K15 weight and its G7 weight (zero on the nodes Kronrod added), the
@@ -54,8 +54,8 @@ _GK_EDGES = np.arange(GK_PANELS + 1) / GK_PANELS
 # A panel is accepted once |K - G| is within this share of |K| whatever
 # its share of tol: the pair then agrees to rounding.
 GK_ROUNDING = 1e-14
-# Open panels at once before gauss_kronrod gives up: a noisy integrand
-# fails on every panel, which would otherwise double them each round.
+# Open panels at once before the adaptive loop gives up: noise fails on
+# every panel, which would otherwise double them each round.
 GK_MAX_PANELS = 4096
 
 
@@ -75,44 +75,65 @@ def q_function(x):
     return float(q) if np.ndim(x) == 0 else q
 
 
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    delta = left + right - whole
-    # second test: the Richardson correction is at rounding level, so
-    # further refinement cannot improve the estimate
-    if abs(delta) <= 15.0 * tol or abs(delta) <= 1e-15 * abs(left + right):
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NonConvergenceError(
-            f"adaptive Simpson did not reach tol on [{a}, {b}] (|delta|={abs(delta):.3e})"
-        )
-    half = 0.5 * tol
-    return _adaptive(f, a, fa, m, fm, lm, flm, left, half, depth - 1) + _adaptive(
-        f, m, fm, b, fb, rm, frm, right, half, depth - 1
+def _adapt(rule, f, a: np.ndarray, b: np.ndarray, tol: float, name: str) -> float:
+    """Breadth-first adaptive quadrature over the panels [a, b].  Each round,
+    rule(f, a, b, tol, depth) gives every open panel's value, error estimate,
+    acceptance at its share of tol, and midpoint from one call of f; the
+    accepted values are summed and the rest bisected at their midpoints.
+    Raises NonConvergenceError after MAX_DEPTH rounds or past GK_MAX_PANELS panels."""
+    lo, hi, total = a, b, 0.0
+    for depth in range(MAX_DEPTH + 1):
+        value, err, done, mid = rule(f, a, b, tol, depth)
+        if done.all():
+            return total + float(value.sum())
+        total += float(value[done].sum())
+        a, b, mid = a[~done], b[~done], mid[~done]
+        if 2 * a.size > GK_MAX_PANELS:
+            break
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    raise NonConvergenceError(
+        f"{name} did not reach its tolerance on [{lo.min()}, {hi.max()}]: "
+        f"{int(np.count_nonzero(~done))} panels unresolved, largest error estimate {err.max():.3e}"
     )
 
 
-def adaptive_simpson(f, lo: float, hi: float, tol: float) -> float:
-    """Integrate f over [lo, hi] to absolute tolerance tol.
+def _simpson_rule(f, a, b, tol, depth):
+    # 3- and 5-point Simpson with the 15x Richardson test and correction, tol halving per bisection
+    m = 0.5 * (a + b)
+    fa, fl, fm, fr, fb = f(np.stack([a, 0.5 * (a + m), m, 0.5 * (m + b), b], axis=1)).T
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    halves = (m - a) / 6.0 * (fa + 4.0 * fl + fm) + (b - m) / 6.0 * (fm + 4.0 * fr + fb)
+    delta = halves - whole
+    err = np.abs(delta)
+    # second test: a correction at rounding level cannot be refined away
+    done = (err <= 15.0 * (tol * 0.5**depth)) | (err <= 1e-15 * np.abs(halves))
+    return halves + delta / 15.0, err, done, m
 
-    Classic recursive adaptive Simpson with the 15x Richardson acceptance
-    test; exact on cubics at the first level.  Raises NonConvergenceError
-    if MAX_DEPTH is reached before the tolerance is met.  It serves only
-    the convolution oracle, which thereby stays a different method from
-    the closed form's :func:`gauss_kronrod`.
+
+def _gauss_kronrod_rule(f, a, b, share, depth):
+    # a panel's share of tol is share times its width, at any depth
+    half = 0.5 * (b - a)
+    mid = a + half
+    fx = f(mid[:, None] + half[:, None] * _GK_NODES)
+    k = half * (fx @ _K15_WEIGHTS)
+    err = np.abs(k - half * (fx @ _G7_WEIGHTS))
+    return k, err, (err <= share * (b - a)) | (err <= GK_ROUNDING * np.abs(k)), mid
+
+
+def adaptive_simpson(f, lo, hi, tol: float) -> float:
+    """Integrate f over [lo, hi], or over each segment of equal-length
+    arrays lo and hi and sum, to absolute tolerance tol per segment.
+
+    Adaptive Simpson with the 15x Richardson test and correction (Boole's
+    rule, exact on quintics), breadth-first: f maps an array of abscissae
+    to an array of values, called once per round on every open panel.  It
+    raises as :func:`gauss_kronrod` does, and serves only the convolution
+    oracle, which thereby stays a different method from the closed form.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    fa, fb = f(lo), f(hi)
-    m, fm, whole = _simpson(f, lo, fa, hi, fb)
-    return _adaptive(f, lo, fa, hi, fb, m, fm, whole, tol, MAX_DEPTH)
+    a, b = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    return _adapt(_simpson_rule, f, a, b, tol, "adaptive Simpson")
 
 
 def _cusp_smoothed(f, cusp: float, other: float):
@@ -124,8 +145,8 @@ def _cusp_smoothed(f, cusp: float, other: float):
 
 
 def cusp_simpson(f, cusp: float, other: float, tol: float) -> float:
-    """adaptive_simpson of f over the interval between cusp and other, f
-    having a square-root cusp at cusp."""
+    """adaptive_simpson of f, which takes arrays, over the interval between
+    cusp and other, f having a square-root cusp at cusp."""
     g, h = _cusp_smoothed(f, cusp, other)
     return adaptive_simpson(g, 0.0, h, tol)
 
@@ -135,38 +156,18 @@ def gauss_kronrod(f, lo: float, hi: float, tol: float) -> float:
 
     f maps an array of abscissae to an array of values.  Each round applies
     the G7/K15 pair to every open panel in one call of f, starting from
-    GK_PANELS equal panels; a panel is accepted when |K - G| is within its
-    width's share of tol, or within GK_ROUNDING * |K|, and the others are
-    bisected.  The sum of the accepted K15 values is returned.  Raises
-    NonConvergenceError after MAX_DEPTH bisection rounds, or when more
-    than GK_MAX_PANELS panels are open at once.
+    GK_PANELS equal panels, each with its width's share of tol; a panel is
+    accepted when |K - G| is within its share, or within GK_ROUNDING * |K|,
+    and the others are bisected.  The sum of the accepted K15 values is
+    returned.  Raises NonConvergenceError after MAX_DEPTH bisection rounds,
+    or when more than GK_MAX_PANELS panels are open at once.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if lo == hi:
         return 0.0
     edges = lo + (hi - lo) * _GK_EDGES
-    a, b = edges[:-1], edges[1:]
-    share = tol / (hi - lo)
-    total = 0.0
-    for _ in range(MAX_DEPTH + 1):
-        half = 0.5 * (b - a)
-        fx = f((a + half)[:, None] + half[:, None] * _GK_NODES)
-        k = half * (fx @ _K15_WEIGHTS)
-        err = np.abs(k - half * (fx @ _G7_WEIGHTS))
-        done = (err <= share * (b - a)) | (err <= GK_ROUNDING * np.abs(k))
-        total += float(k[done].sum())
-        if done.all():
-            return total
-        a, b = a[~done], b[~done]
-        if 2 * a.size > GK_MAX_PANELS:
-            break
-        mid = a + 0.5 * (b - a)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-    raise NonConvergenceError(
-        f"Gauss-Kronrod did not reach tol={tol:g} on [{lo}, {hi}]: "
-        f"{int(np.count_nonzero(~done))} panels unresolved, largest |K - G| {float(err.max()):.3e}"
-    )
+    return _adapt(_gauss_kronrod_rule, f, edges[:-1], edges[1:], tol / (hi - lo), "Gauss-Kronrod")
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,22 @@ def test_verify_gnuplot_outputs(tmp_path):
     assert (tmp_path / "v.gp").exists()
 
 
+def test_verify_warns_below_five_terminals_per_bin(tmp_path, capsys):
+    # 96 chi-square bins expect 5 terminals each from 480 on; below that a
+    # warning goes to stderr, while stdout, the report and the exit code
+    # stay what they were
+    for count in (1, 479, 480):
+        report_path = tmp_path / f"r{count}.json"
+        argv = ["verify", "--side", "1000", "--count", str(count), "--seed", "3", "--report", str(report_path)]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"urban-macro hexagon side=1000.0 n={count} seed=3: ks=")
+        assert out.endswith("-> PASS\n") and out.count("\n") == 1
+        warned = err.startswith(f"warning: n={count} expects under 5 terminals in each of 96 chi-square bins")
+        assert warned == (count < 480) and err.count("\n") == (count < 480)
+        assert json.loads(report_path.read_text(encoding="utf-8"))["count"] == count
+
+
 # SHA-256 of the files each command writes, recorded with Python 3.11.7,
 # numpy 2.4.6 and scipy 1.17.1.  Outputs are byte-identical for the same
 # arguments, so any change to these bytes is a change of behaviour.
@@ -187,7 +203,7 @@ GOLDEN = [
     (
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--out", "pdf.csv"],
-        {"pdf.csv": "c5a02131358e85391492d1757097090cd9d17c8161adcf4c3c331a7ccf9f2889"},
+        {"pdf.csv": "0583f4a69d9af4dcb025de4933da66cd80b1614ddfd3a1c4e60dd2c44dd1742f"},
     ),
     (
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
@@ -203,7 +219,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "c5a02131358e85391492d1757097090cd9d17c8161adcf4c3c331a7ccf9f2889",
+            "pdf.csv": "0583f4a69d9af4dcb025de4933da66cd80b1614ddfd3a1c4e60dd2c44dd1742f",
             "pdf.csv.gp": "4b67b43ee2a4b9526e007a5db9345de59a164e0baee816b7831d21b2d0cc79de",
         },
     ),

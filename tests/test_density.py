@@ -112,6 +112,32 @@ def test_closed_form_matches_convolution(name, side):
         assert closed == pytest.approx(conv, rel=1e-6)
 
 
+# shadowed_pdf_conv at 12 evenly spaced losses from knee - 3 sigma to
+# max + 6 sigma, as the depth-first recursive Simpson rule gave them: the
+# breadth-first rule bisects the same panels and may move only the rounding
+PINNED_ORACLE = {
+    ("urban-micro-los", 250.0): [
+        0.024448620540351247, 0.042479033472879235, 0.06298363540996896, 0.06740433645360129,
+        0.04486254687594221, 0.016851154686154772, 0.003378300193119897, 0.00035024914168078805,
+        1.8433373390548537e-05, 4.868099727913183e-07, 6.401846021926411e-09, 4.16945767699962e-11,
+    ],
+    ("urban-macro", 1000.0): [
+        0.005256657449263506, 0.013525002435233763, 0.02641074788721111, 0.03360287893865975,
+        0.025045617679285242, 0.01026859490673671, 0.0022342802927744136, 0.00025265453323674995,
+        1.4660175864992992e-05, 4.329407158828052e-07, 6.471739194055757e-09, 4.877723492567475e-11,
+    ],
+}
+
+
+@pytest.mark.parametrize("name,side", list(PINNED_ORACLE))
+def test_oracle_pinned_values(name, side):
+    m = preset_model(name, side)
+    sig = m.pathloss.sigma_psi
+    grid = np.linspace(m.knee_loss_db - 3.0 * sig, m.max_loss_db + 6.0 * sig, 12)
+    got = [shadowed_pdf_conv(m, float(l)) for l in grid]
+    assert got == pytest.approx(PINNED_ORACLE[name, side], rel=1e-14, abs=0.0)
+
+
 def _quad_convolution(m, l):
     """Shadowed density at l: scipy's quad of the Gaussian against
     pathloss_pdf, split at the knee and the maximum, to epsrel 1e-12."""

@@ -12,6 +12,8 @@ from hexdrop import (
     load_preset,
 )
 from hexdrop.numerics import (
+    GK_MAX_PANELS,
+    MAX_DEPTH,
     _log_asin_taylor_coeff,
     _series_value,
     adaptive_simpson,
@@ -54,24 +56,49 @@ def test_simpson_polynomials():
     )
 
 
+def test_simpson_exact_on_quintics_in_one_round():
+    # the Simpson pair plus its Richardson correction is Boole's rule, exact
+    # to degree 5: a first round accepted on a loose tol, from one call of f
+    # on every segment at once, already carries the exact value
+    poly = np.polynomial.Polynomial(np.random.default_rng(5).normal(size=6))
+    lo, hi = np.array([-1.0, 0.0, 0.5]), np.array([0.0, 0.5, 2.0])
+    exact = poly.integ()(2.0) - poly.integ()(-1.0)
+    calls = []
+    val = adaptive_simpson(lambda x: (calls.append(x.shape), poly(x))[1], lo, hi, 1.0)
+    assert calls == [(3, 5)]
+    assert val == pytest.approx(exact, rel=1e-14)
+
+
 def test_simpson_transcendentals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi / 2.0, 1e-10) == pytest.approx(1.0, abs=1e-10)
-    gauss = adaptive_simpson(lambda x: math.exp(-x * x), 0.0, 8.0, 1e-13)
+    assert adaptive_simpson(np.sin, 0.0, math.pi / 2.0, 1e-10) == pytest.approx(1.0, abs=1e-10)
+    gauss = adaptive_simpson(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-13)
     assert gauss == pytest.approx(SQRT_PI / 2.0, abs=1e-12)
 
 
 def test_simpson_edge_cases():
-    assert adaptive_simpson(math.sin, 1.0, 1.0, 1e-10) == 0.0
+    assert adaptive_simpson(np.sin, 1.0, 1.0, 1e-10) == 0.0
     fwd = adaptive_simpson(lambda x: x, 0.0, 1.0, 1e-12)
     assert adaptive_simpson(lambda x: x, 1.0, 0.0, 1e-12) == pytest.approx(-fwd, rel=1e-12)
     with pytest.raises(ValueError):
-        adaptive_simpson(math.sin, 0.0, 1.0, 0.0)
+        adaptive_simpson(np.sin, 0.0, 1.0, 0.0)
 
 
 def test_simpson_depth_cap_signals_failure():
-    step = lambda x: 0.0 if x < 1.0 / math.e else 1.0
+    # a jump keeps one panel open every round: the round cap ends it after
+    # MAX_DEPTH bisections, with at most two panels evaluated at once
+    calls = []
+    step = lambda x: (calls.append(x.shape[0]), np.where(x < 1.0 / math.e, 0.0, 1.0))[1]
     with pytest.raises(NonConvergenceError):
         adaptive_simpson(step, 0.0, 1.0, 1e-13)
+    assert len(calls) == MAX_DEPTH + 1 and max(calls) <= 2
+
+
+def test_simpson_panel_cap_signals_failure():
+    # noise fails on every panel: the panel cap ends it before memory grows
+    noise, calls = np.random.default_rng(0), []
+    with pytest.raises(NonConvergenceError):
+        adaptive_simpson(lambda x: (calls.append(x.shape[0]), noise.random(x.shape))[1], 0.0, 1.0, 1e-13)
+    assert max(calls) <= GK_MAX_PANELS and len(calls) <= 13
 
 
 def test_gauss_kronrod_exact_on_degree_22_in_one_pass():
