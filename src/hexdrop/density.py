@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import check_side
-from .numerics import ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, cusp_simpson, q_function
+from .numerics import ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, cusp_smoothed, q_function
 from .pathloss import PathLossParams
 
 SQRT3 = math.sqrt(3.0)
@@ -52,7 +52,7 @@ CDF_POINTS = 3001
 
 
 def radial_pdf(side: float, r):
-    """Marginal density of the separation r; zero beyond r = L."""
+    """Marginal density of the separation r; zero beyond r = L, NaN at NaN."""
     L = check_side(side)
     arr = np.asarray(r, dtype=float)
     if (arr < 0.0).any():
@@ -66,9 +66,9 @@ def radial_pdf(side: float, r):
             * (np.arcsin(np.clip(knee / np.where(arr > 0.0, arr, 1.0), -1.0, 1.0)) - math.pi / 3.0)
         )
     pdf = np.select(
-        [arr <= knee, arr <= L],
-        [4.0 * math.pi * arr / (3.0 * SQRT3 * L * L), outer],
-        default=0.0,
+        [arr <= knee, arr <= L, arr > L],
+        [4.0 * math.pi * arr / (3.0 * SQRT3 * L * L), outer, 0.0],
+        default=np.nan,
     )
     return float(pdf) if np.ndim(r) == 0 else pdf
 
@@ -81,7 +81,7 @@ def radial_cdf(side: float, r):
 
         (r^2/2) asin(c/r) + (c/2) sqrt(r^2 - c^2) - pi r^2 / 6,
 
-    which the tests cross-check against adaptive quadrature.
+    which the tests cross-check against adaptive quadrature.  NaN at NaN.
     """
     L = check_side(side)
     arr = np.asarray(r, dtype=float)
@@ -99,9 +99,9 @@ def radial_cdf(side: float, r):
     outer = inner_mass + (8.0 / (SQRT3 * L * L)) * (g - g_knee)
 
     cdf = np.select(
-        [arr <= 0.0, arr <= c, arr <= L],
-        [0.0, 2.0 * math.pi * arr * arr / (3.0 * SQRT3 * L * L), outer],
-        default=1.0,
+        [arr <= 0.0, arr <= c, arr <= L, arr > L],
+        [0.0, 2.0 * math.pi * arr * arr / (3.0 * SQRT3 * L * L), outer, 1.0],
+        default=np.nan,
     )
     return float(cdf) if np.ndim(r) == 0 else cdf
 
@@ -148,6 +148,7 @@ def pathloss_pdf(model: DensityModel, w):
     * knee <= w <= max: (8 r0^2 ln10 / (sqrt(3) L^2 beta)) * 10^(2(w-alpha)/beta)
                         * (asin(sqrt(3) L / (2 r0 10^((w-alpha)/beta))) - pi/3)
     * w > max:          0
+    * w NaN:            NaN
 
     Accepts the full real line; the support extends to -inf because the
     distance law is extrapolated below the close-in distance, where the
@@ -155,8 +156,8 @@ def pathloss_pdf(model: DensityModel, w):
     """
     p = model.pathloss
     arr = np.atleast_1d(np.asarray(w, dtype=float))
-    out = np.zeros_like(arr)
     knee, top = model.knee_loss_db, model.max_loss_db
+    out = np.where(arr > top, 0.0, np.nan)
     L2 = model.side * model.side
     base = p.r0 * p.r0 * LN10 / (L2 * p.beta)
 
@@ -274,15 +275,15 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
     # drift of the Gaussian-exponential product peak in the circular branch
     peak = -2.0 * LN10 * sigma * sigma / p.beta
 
-    cuts = {t_low, t_knee, upper}
-    for landmark in (-reach, -6 * sigma, -3 * sigma, peak, 0.0, 3 * sigma, 6 * sigma, reach):
-        if t_low < landmark < upper:
-            cuts.add(landmark)
+    cuts = {t_low, t_knee, upper, -reach, -6 * sigma, -3 * sigma, peak, 0.0, 3 * sigma, 6 * sigma, reach}
     grid = np.array(sorted(c for c in cuts if max(t_low, -reach - abs(peak)) <= c <= upper))
     a, b = grid[:-1], grid[1:]
     plain = b != t_knee
     total = adaptive_simpson(integrand, a[plain], b[plain], tol)
-    return total + sum(cusp_simpson(integrand, t_knee, float(x), tol) for x in a[~plain])
+    for x in a[~plain]:
+        g, h = cusp_smoothed(integrand, t_knee, float(x))
+        total += adaptive_simpson(g, 0.0, h, tol)
+    return total
 
 
 def exponent_merge_identity(model: DensityModel, l: float, tau: float) -> tuple[float, float]:

@@ -14,8 +14,8 @@ follow from the uniform joint density 1/area; each piece agrees with its
 neighbour at the junction, so the inverse is continuous on (0, 1).
 
 Each shape is stated in three places only: its vertices, its chord
-bounds and its inverse marginal.  The x-range and the marginal CDF are
-derived from the first two, so they hold for every shape alike.
+bounds and its inverse marginal.  The marginal CDF is derived from the
+first two, so it holds for every shape alike.
 """
 
 from __future__ import annotations
@@ -77,17 +77,11 @@ def shape_vertices(geom: CellGeometry) -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
-def x_range(geom: CellGeometry) -> tuple[float, float]:
-    """Closed range of x covered by the contour: its extreme vertex abscissae."""
-    xs = shape_vertices(geom)[:, 0]
-    return float(xs.min()), float(xs.max())
-
-
 def chord_y_bounds(geom: CellGeometry, x):
     """Lower and upper y of the vertical chord at abscissa x.
 
-    x may be a scalar or an array inside :func:`x_range`; the bounds
-    collapse to a point at extreme vertices.
+    x may be a scalar or an array between the extreme vertex abscissae;
+    the bounds collapse to a point at extreme vertices.
     """
     x = np.asarray(x, dtype=float)
     L = geom.side
@@ -126,11 +120,6 @@ def point_in_shape(geom: CellGeometry, p) -> bool | np.ndarray:
     return bool(inside[0]) if scalar else inside
 
 
-def _check_open_unit(u: np.ndarray) -> None:
-    if not ((u > 0.0) & (u < 1.0)).all():
-        raise ValueError("uniform variate must lie strictly inside (0, 1)")
-
-
 def sample_x(geom: CellGeometry, u):
     """Inverse marginal CDF of the x coordinate.
 
@@ -148,7 +137,8 @@ def sample_x(geom: CellGeometry, u):
     Scalar or array u; raises ValueError outside the open unit interval.
     """
     arr = np.asarray(u, dtype=float)
-    _check_open_unit(arr)
+    if not ((arr > 0.0) & (arr < 1.0)).all():
+        raise ValueError("uniform variate must lie strictly inside (0, 1)")
     L = geom.side
     if geom.shape is CellShape.TRIANGLE60:
         x = np.where(
@@ -171,33 +161,17 @@ def sample_x(geom: CellGeometry, u):
             ],
             default=L * (1.0 - np.sqrt(1.5 * (1.0 - arr))),
         )
-    return float(x) if np.isscalar(u) or np.ndim(u) == 0 else x
-
-
-def sample_y_given_x(geom: CellGeometry, x0, u):
-    """Uniform draw on the vertical chord at x0 via (hi - lo)*u + lo."""
-    xs = np.asarray(x0, dtype=float)
-    arr = np.asarray(u, dtype=float)
-    _check_open_unit(arr)
-    lo_x, hi_x = x_range(geom)
-    if not ((xs >= lo_x) & (xs <= hi_x)).all():
-        raise ValueError(f"x0 outside the shape's x-range [{lo_x}, {hi_x}]")
-    lo, hi = chord_y_bounds(geom, xs)
-    y = lo + (hi - lo) * arr
-    scalar = np.ndim(x0) == 0 and np.ndim(u) == 0
-    return float(y) if scalar else y
+    return float(x) if np.ndim(u) == 0 else x
 
 
 def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarray:
-    """n uniform points as an (n, 2) array.
-
-    Draws n x-uniforms then n y-uniforms as blocks, so the result for a
-    given seed is reproducible.
+    """n uniform points as an (n, 2) array: x from n x-uniforms through
+    :func:`sample_x`, then y = lo + (hi - lo) * u on the chord at x from n
+    y-uniforms, drawn in that order so that a seed fixes the result.
     """
-    ux = stream.uniforms(n)
-    x = sample_x(geom, ux)
-    uy = stream.uniforms(n)
-    y = sample_y_given_x(geom, x, uy)
+    x = sample_x(geom, stream.uniforms(n))
+    lo, hi = chord_y_bounds(geom, x)
+    y = lo + (hi - lo) * stream.uniforms(n)
     return np.column_stack([x, y])
 
 
@@ -207,8 +181,8 @@ def marginal_x_cdf(geom: CellGeometry, x):
     The chord width is linear between consecutive vertex abscissae, so the
     integral is a sum of whole trapezoids plus the partial one ending at x.
     Both come from one expression, so the CDF is exactly 0.0 at and below
-    the left end of :func:`x_range` and exactly 1.0 at and above the right
-    end; a NaN x gives NaN.
+    the leftmost vertex and exactly 1.0 at and above the rightmost one; a
+    NaN x gives NaN.
     """
     arr = np.asarray(x, dtype=float)
     knots = np.unique(shape_vertices(geom)[:, 0])

@@ -2,8 +2,8 @@
 
 Four pieces: the Gaussian tail (Q) function, one breadth-first adaptive
 loop on arrays with two rule pairs, Gauss-Kronrod (G7/K15) for the closed
-form and Simpson (with a variant for a square-root cusp) for the convolution
-oracle, and the integral
+form and Simpson for the convolution oracle (both with a substitution that
+smooths a square-root cusp), and the integral
 
     I(k, a, b; x1, x2) = int_{x1}^{x2} exp(-x^2) * asin(k * 10^-(a + b x)) dx
 
@@ -67,12 +67,9 @@ class SeriesDivergenceError(NonConvergenceError):
     """The series did not reach its tolerance within SERIES_MAX_TERMS terms."""
 
 
-def q_function(x):
+def q_function(x: float) -> float:
     """Standard normal tail probability Q(x) = erfc(x/sqrt(2)) / 2."""
-    if isinstance(x, float):
-        return 0.5 * math.erfc(x / SQRT2)
-    q = 0.5 * special.erfc(np.asarray(x, dtype=float) / SQRT2)
-    return float(q) if np.ndim(x) == 0 else q
+    return 0.5 * math.erfc(x / SQRT2)
 
 
 def _adapt(rule, f, a: np.ndarray, b: np.ndarray, tol: float, name: str) -> float:
@@ -136,19 +133,12 @@ def adaptive_simpson(f, lo, hi, tol: float) -> float:
     return _adapt(_simpson_rule, f, a, b, tol, "adaptive Simpson")
 
 
-def _cusp_smoothed(f, cusp: float, other: float):
+def cusp_smoothed(f, cusp: float, other: float):
     """(g, h) with the integral of f between cusp and other equal to that
     of g over [0, h], f having a square-root cusp at cusp: x = cusp -/+ s^2
     makes it smooth in s.  g takes what f takes, floats or arrays."""
     sign = -1.0 if other < cusp else 1.0
     return (lambda s: 2.0 * s * f(cusp + sign * (s * s))), math.sqrt(abs(cusp - other))
-
-
-def cusp_simpson(f, cusp: float, other: float, tol: float) -> float:
-    """adaptive_simpson of f, which takes arrays, over the interval between
-    cusp and other, f having a square-root cusp at cusp."""
-    g, h = _cusp_smoothed(f, cusp, other)
-    return adaptive_simpson(g, 0.0, h, tol)
 
 
 def gauss_kronrod(f, lo: float, hi: float, tol: float) -> float:
@@ -257,7 +247,7 @@ def _quadrature_value(p: ArcsineGaussParams, arg_lo: float, arg_hi: float, tol: 
         return gauss_kronrod(integrand, p.lo, p.hi, tol)
     # the arcsine derivative blows up at the end where the argument reaches 1
     cusp, other = (p.hi, p.lo) if arg_hi >= arg_lo else (p.lo, p.hi)
-    g, h = _cusp_smoothed(integrand, cusp, other)
+    g, h = cusp_smoothed(integrand, cusp, other)
     return gauss_kronrod(g, 0.0, h, tol)
 
 

@@ -145,6 +145,8 @@ def spatial_chi_square(
     tests the generator, not the geometry.  The geometry is checked by
     acceptance criterion 1 and test_marginal_matches_chord_quadrature.
     """
+    if len(xy) == 0:
+        raise ValueError("positions must be nonempty")
     counts = equal_area_bin_counts(geom, xy)
     n = counts.sum()
     expected = n / counts.size

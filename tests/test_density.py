@@ -5,10 +5,14 @@ import pytest
 from scipy import integrate
 
 from hexdrop import (
+    CellGeometry,
+    CellShape,
     DensityModel,
     PathLossParams,
+    marginal_x_cdf,
     pathloss_pdf,
     radial_cdf,
+    radial_pdf,
     shadowed_cdf,
     shadowed_pdf,
     shadowed_pdf_conv,
@@ -140,14 +144,18 @@ def test_oracle_pinned_values(name, side):
 
 def _quad_convolution(m, l):
     """Shadowed density at l: scipy's quad of the Gaussian against
-    pathloss_pdf, split at the knee and the maximum, to epsrel 1e-12."""
+    pathloss_pdf, split at the knee and the maximum, and at l +- 10 sigma so
+    that a narrow Gaussian is not stepped over, to epsrel 1e-12."""
     sig = m.pathloss.sigma_psi
 
     def integrand(w):
         d = (l - w) / sig
         return math.exp(-0.5 * d * d) / (math.sqrt(2.0 * math.pi) * sig) * pathloss_pdf(m, w)
 
-    pieces = ((-math.inf, m.knee_loss_db), (m.knee_loss_db, m.max_loss_db))
+    top = m.max_loss_db  # pathloss_pdf vanishes above
+    spike = {c for c in (l - 10.0 * sig, l + 10.0 * sig) if c < top}
+    edges = [-math.inf, *sorted({m.knee_loss_db, top} | spike)]
+    pieces = zip(edges[:-1], edges[1:])
     return sum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0] for a, b in pieces)
 
 
@@ -165,6 +173,18 @@ def test_upper_tail_matches_quad_convolution(name, side):
         abs(shadowed_pdf(m, l) / _quad_convolution(m, l) - 1.0) for l in np.concatenate([default_range, far])
     )
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0])
+@pytest.mark.parametrize("name,side", [("urban-macro", 1000.0), ("urban-micro-los", 250.0)])
+def test_small_sigma_matches_quad_convolution(name, side, sigma):
+    # over the default pdf range, where a Gaussian this narrow is a spike
+    # that an unsplit quad from -inf misses
+    pre = preset_model(name, side).pathloss
+    m = DensityModel(side, PathLossParams(pre.alpha, pre.beta, pre.r0, sigma))
+    lo = m.knee_loss_db - max(6.0 * sigma, 2.5 * pre.beta)
+    for l in np.linspace(lo, m.max_loss_db + 6.0 * sigma, 25):
+        assert shadowed_pdf(m, l) == pytest.approx(_quad_convolution(m, l), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("sigma", [32.0, 64.0, 200.0])
@@ -295,3 +315,19 @@ def test_cdf_median_against_independent_convolution():
         return val
 
     assert oracle_cdf(l_med) == pytest.approx(0.5, abs=1e-6)
+
+
+NAN_CASES = {
+    "radial_pdf": lambda m, v: radial_pdf(m.side, v),
+    "radial_cdf": lambda m, v: radial_cdf(m.side, v),
+    "pathloss_pdf": pathloss_pdf,
+    "marginal_x_cdf": lambda m, v: marginal_x_cdf(CellGeometry(CellShape.HEXAGON, m.side), v),
+    "shadowed_pdf": shadowed_pdf,
+    "shadowed_cdf": shadowed_cdf,
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_CASES))
+def test_nan_in_gives_nan_out(name):
+    # no branch default may turn a NaN argument into a density or a probability
+    assert math.isnan(NAN_CASES[name](preset_model("urban-macro", 1000.0), math.nan))

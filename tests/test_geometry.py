@@ -12,7 +12,7 @@ from hexdrop import (
     radial_cdf,
     radial_pdf,
 )
-from hexdrop.geometry import chord_y_bounds, shape_vertices, x_range
+from hexdrop.geometry import chord_y_bounds, shape_vertices
 from hexdrop.presets import validate_cell_radius
 
 from conftest import ALL_SHAPES
@@ -33,12 +33,6 @@ def test_canonical_vertices_unit_side():
     hexa = shape_vertices(CellGeometry(CellShape.HEXAGON, 1.0))
     assert np.allclose(np.hypot(hexa[:, 0], hexa[:, 1]), 1.0)
     assert {tuple(v) for v in hexa} >= {(1.0, 0.0), (-1.0, 0.0)}
-
-
-def test_x_range():
-    assert x_range(CellGeometry(CellShape.TRIANGLE60, 2.0)) == (0.0, 2.0)
-    assert x_range(CellGeometry(CellShape.RHOMBUS120, 2.0)) == (-1.0, 2.0)
-    assert x_range(CellGeometry(CellShape.HEXAGON, 2.0)) == (-2.0, 2.0)
 
 
 def test_point_in_shape_examples():
@@ -73,7 +67,8 @@ def _chord_from_edges(geom, x):
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_chord_bounds_match_edge_intersections(shape):
     geom = CellGeometry(shape, 1.7)
-    lo_x, hi_x = x_range(geom)
+    xs = shape_vertices(geom)[:, 0]
+    lo_x, hi_x = xs.min(), xs.max()
     for x in np.linspace(lo_x + 1e-6, hi_x - 1e-6, 37):
         lo, hi = chord_y_bounds(geom, x)
         elo, ehi = _chord_from_edges(geom, x)

@@ -13,7 +13,7 @@ from hexdrop import (
     sample_points,
     sample_x,
 )
-from hexdrop.geometry import sample_y_given_x, shape_vertices, x_range
+from hexdrop.geometry import chord_y_bounds, shape_vertices
 
 from conftest import ALL_SHAPES
 from test_geometry import _chord_from_edges, shoelace
@@ -83,7 +83,8 @@ def test_marginal_matches_chord_quadrature(shape):
     """The marginal CDF equals the integral of chord width / area, exact at the ends."""
     for L in (1.0, 1.3, 730.0, 3500.0):
         geom = CellGeometry(shape, L)
-        lo_x, hi_x = x_range(geom)
+        xs = shape_vertices(geom)[:, 0]
+        lo_x, hi_x = float(xs.min()), float(xs.max())
         area = shoelace(shape_vertices(geom))
         kinks = [-L, -L / 2.0, 0.0, L / 2.0, L]
 
@@ -105,31 +106,23 @@ def test_marginal_matches_chord_quadrature(shape):
 
 def test_sample_y_examples():
     tri = CellGeometry(CellShape.TRIANGLE60, 1.0)
-    assert sample_y_given_x(tri, 0.5, 0.5) == pytest.approx(SQRT3 / 4.0, abs=1e-15)
+    lo, hi = chord_y_bounds(tri, 0.5)
+    assert (lo, hi) == (0.0, pytest.approx(SQRT3 / 2.0, abs=1e-15))
     hexa = CellGeometry(CellShape.HEXAGON, 1.0)
-    assert sample_y_given_x(hexa, 0.0, 1e-12) == pytest.approx(-SQRT3 / 2.0, abs=1e-9)
-    assert sample_y_given_x(hexa, 0.0, 1.0 - 1e-12) == pytest.approx(SQRT3 / 2.0, abs=1e-9)
+    assert chord_y_bounds(hexa, 0.0) == (-SQRT3 / 2.0, SQRT3 / 2.0)
     # slanted-edge chord at x0 = 0.9: half-width sqrt(3)*0.1
-    hi = sample_y_given_x(hexa, 0.9, 1.0 - 1e-12)
-    assert hi == pytest.approx(SQRT3 * 0.1, abs=1e-9)
-
-
-def test_sample_y_rejects_x_outside_range():
-    with pytest.raises(ValueError):
-        sample_y_given_x(CellGeometry(CellShape.TRIANGLE60, 1.0), 1.2, 0.5)
-    with pytest.raises(ValueError):
-        sample_y_given_x(CellGeometry(CellShape.HEXAGON, 1.0), -1.01, 0.5)
+    lo, hi = chord_y_bounds(hexa, 0.9)
+    assert (lo, hi) == (pytest.approx(-SQRT3 * 0.1, abs=1e-15), pytest.approx(SQRT3 * 0.1, abs=1e-15))
 
 
 def test_rhombus_conditional_supports():
     rho = CellGeometry(CellShape.RHOMBUS120, 1.0)
     # left wing: lower bound is +sqrt(3)|x0|, upper is the top edge
-    y_lo = sample_y_given_x(rho, -0.25, 1e-15)
-    y_hi = sample_y_given_x(rho, -0.25, 1.0 - 1e-15)
-    assert y_lo == pytest.approx(SQRT3 * 0.25, abs=1e-12)
-    assert y_hi == pytest.approx(SQRT3 / 2.0, abs=1e-12)
+    y_lo, y_hi = chord_y_bounds(rho, -0.25)
+    assert y_lo == pytest.approx(SQRT3 * 0.25, abs=1e-15)
+    assert y_hi == SQRT3 / 2.0
     # right wing: chord collapses toward the far vertex
-    assert sample_y_given_x(rho, 0.9, 1.0 - 1e-15) == pytest.approx(SQRT3 * 0.1, abs=1e-12)
+    assert chord_y_bounds(rho, 0.9) == (0.0, pytest.approx(SQRT3 * 0.1, abs=1e-15))
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -141,8 +134,9 @@ def test_points_contained_and_scalar_path_agrees(shape):
     # one point from the scalar inverses matches a one-point array drop
     ux, uy = VariateStream(9).uniforms(2)
     x = sample_x(geom, float(ux))
-    y = sample_y_given_x(geom, x, float(uy))
-    assert isinstance(x, float) and isinstance(y, float)
+    lo, hi = chord_y_bounds(geom, x)
+    y = float(lo + (hi - lo) * float(uy))
+    assert isinstance(x, float)
     assert (x, y) == tuple(sample_points(geom, VariateStream(9), 1)[0])
     assert point_in_shape(geom, (x, y))
 

@@ -146,6 +146,11 @@ def test_spatial_chi_square_accepts_uniform(shape):
     assert res.passed, res
 
 
+def test_spatial_chi_square_rejects_empty():
+    with pytest.raises(ValueError, match="nonempty"):
+        spatial_chi_square(CellGeometry(CellShape.HEXAGON, 1.0), np.empty((0, 2)))
+
+
 def test_spatial_chi_square_rejects_zeroed_y():
     geom = CellGeometry(CellShape.HEXAGON, 1.0)
     pts = sample_points(geom, VariateStream(100), 100_000)
