@@ -30,6 +30,11 @@ from .rng import VariateStream
 
 SQRT3 = math.sqrt(3.0)
 
+# Rows per block of every n-length pass over a drop (sampling, the KS test,
+# the spatial bins, the CSV writer): the temporaries of a pass stay a few
+# blocks long however many terminals are dropped.
+BLOCK = 65536
+
 
 def check_side(side: float) -> float:
     """The cell side as a float; raises ValueError unless it is positive and finite."""
@@ -168,11 +173,22 @@ def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarr
     """n uniform points as an (n, 2) array: x from n x-uniforms through
     :func:`sample_x`, then y = lo + (hi - lo) * u on the chord at x from n
     y-uniforms, drawn in that order so that a seed fixes the result.
+
+    Each column is filled BLOCK rows at a time, and the x-uniforms are
+    freed before the y-uniforms are drawn.
     """
-    x = sample_x(geom, stream.uniforms(n))
-    lo, hi = chord_y_bounds(geom, x)
-    y = lo + (hi - lo) * stream.uniforms(n)
-    return np.column_stack([x, y])
+    u = stream.uniforms(n)
+    xy = np.empty((len(u), 2))
+    for a in range(0, len(u), BLOCK):
+        rows = slice(a, a + BLOCK)
+        xy[rows, 0] = sample_x(geom, u[rows])
+    del u
+    u = stream.uniforms(n)
+    for a in range(0, len(u), BLOCK):
+        rows = slice(a, a + BLOCK)
+        lo, hi = chord_y_bounds(geom, xy[rows, 0])
+        xy[rows, 1] = lo + (hi - lo) * u[rows]
+    return xy
 
 
 def marginal_x_cdf(geom: CellGeometry, x):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .density import DensityModel, shadowed_cdf
-from .geometry import CellGeometry, chord_y_bounds, marginal_x_cdf, sample_points
+from .geometry import BLOCK, CellGeometry, chord_y_bounds, marginal_x_cdf, sample_points
 from .pathloss import PathLossParams, mean_pathloss
 from .rng import GENERATOR_LABEL, VariateStream
 
@@ -33,16 +33,25 @@ SPATIAL_SIGNIFICANCE = 1e-3
 class DropTable:
     """One simulated drop of n terminals.
 
-    xy is the (n, 2) array of positions that
-    :func:`hexdrop.geometry.sample_points` returned, x in column 0 and y
-    in column 1; r, w, psi and lp are length-n columns.
+    Stored: xy, the (n, 2) array of positions that
+    :func:`hexdrop.geometry.sample_points` returned (x in column 0, y in
+    column 1), and the length-n columns w (mean loss, dB) and psi
+    (shadowing, dB).  Derived: r = hypot(x, y) and lp = w + psi, computed
+    anew on each access by the same expressions that :func:`run_drop`
+    uses, so a drop keeps four float columns in memory.
     """
 
     xy: np.ndarray
-    r: np.ndarray
     w: np.ndarray
     psi: np.ndarray
-    lp: np.ndarray
+
+    @property
+    def r(self) -> np.ndarray:
+        return np.hypot(self.xy[:, 0], self.xy[:, 1])
+
+    @property
+    def lp(self) -> np.ndarray:
+        return self.w + self.psi
 
     def __len__(self) -> int:
         return len(self.xy)
@@ -59,21 +68,24 @@ def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropT
         raise ValueError(f"sample count must be >= 1, got {n}")
     stream = VariateStream(seed)
     xy = sample_points(geom, stream, n)
-    r = np.hypot(xy[:, 0], xy[:, 1])
-    w = mean_pathloss(pl, r)
+    w = mean_pathloss(pl, np.hypot(xy[:, 0], xy[:, 1]))
     psi = pl.sigma_psi * stream.normals(n)
-    return DropTable(xy=xy, r=r, w=w, psi=psi, lp=w + psi)
+    return DropTable(xy=xy, w=w, psi=psi)
 
 
 def _write_columns(path: str | Path, header: str, columns) -> None:
-    """Write equal-length float columns as CSV rows, each value as repr(float)."""
-    values = [np.asarray(c, dtype=float).tolist() for c in columns]
-    if len({len(v) for v in values}) != 1:
-        raise ValueError(f"columns differ in length: {[len(v) for v in values]}")
+    """Write equal-length float columns as CSV rows, each value as repr(float).
+
+    The rows go out BLOCK at a time, one write per block.
+    """
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    if len({len(c) for c in arrays}) != 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in arrays]}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in zip(*(map(repr, v) for v in values)):
-            fh.write(",".join(row) + "\n")
+        for a in range(0, len(arrays[0]), BLOCK):
+            values = (map(repr, c[a : a + BLOCK].tolist()) for c in arrays)
+            fh.write("\n".join(map(",".join, zip(*values))) + "\n")
 
 
 def write_samples_csv(path: str | Path, table: DropTable) -> None:
@@ -92,17 +104,20 @@ def ks_test(samples: np.ndarray, cdf) -> KsResult:
     """One-sample KS test at significance 0.01.
 
     statistic = sup |empirical CDF - cdf|, critical = 1.628/sqrt(n)
-    (asymptotic), passed = statistic < critical.
+    (asymptotic), passed = statistic < critical.  ``cdf`` is called on
+    contiguous slices of the sorted sample, BLOCK values at a time, and
+    must return one value per element of its argument.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = len(s)
     if n == 0:
         raise ValueError("samples must be nonempty")
-    f = np.asarray(cdf(s), dtype=float)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
-    statistic = float(max(d_plus, d_minus))
+    d = []  # D+ and D- of each block
+    for a in range(0, n, BLOCK):
+        f = np.asarray(cdf(s[a : a + BLOCK]), dtype=float)
+        i = np.arange(a + 1, min(a + BLOCK, n) + 1)
+        d += [np.max(i / n - f), np.max(f - (i - 1) / n)]
+    statistic = float(np.max(d))
     critical = KS_COEFF_001_LEVEL / math.sqrt(n)
     return KsResult(statistic=statistic, critical=critical, passed=statistic < critical)
 
@@ -113,16 +128,21 @@ def equal_area_bin_counts(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
     The bins are preimages of a regular grid under (F_X(x), position of y
     inside its chord), the inverse of the sampler's own transform; under
     uniformity each bin carries exactly the same probability, 1/(nx*ny).
+    The points are binned BLOCK rows at a time.
     """
     nx, ny = SPATIAL_BINS_X, SPATIAL_BINS_Y
-    x, y = xy[:, 0], xy[:, 1]
-    u = marginal_x_cdf(geom, x)
-    lo, hi = chord_y_bounds(geom, x)
-    width = hi - lo
-    v = np.where(width > 0.0, (y - lo) / np.where(width > 0.0, width, 1.0), 0.5)
-    iu = np.clip((u * nx).astype(int), 0, nx - 1)
-    iv = np.clip((v * ny).astype(int), 0, ny - 1)
-    return np.bincount(iu * ny + iv, minlength=nx * ny)
+    counts = np.zeros(nx * ny, dtype=np.intp)
+    for a in range(0, len(xy), BLOCK):
+        rows = slice(a, a + BLOCK)
+        x, y = xy[rows, 0], xy[rows, 1]
+        u = marginal_x_cdf(geom, x)
+        lo, hi = chord_y_bounds(geom, x)
+        width = hi - lo
+        v = np.where(width > 0.0, (y - lo) / np.where(width > 0.0, width, 1.0), 0.5)
+        iu = np.clip((u * nx).astype(int), 0, nx - 1)
+        iv = np.clip((v * ny).astype(int), 0, ny - 1)
+        counts += np.bincount(iu * ny + iv, minlength=nx * ny)
+    return counts
 
 
 @dataclass(frozen=True)

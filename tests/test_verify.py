@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from hexdrop import (
     CellGeometry,
@@ -17,6 +19,7 @@ from hexdrop import (
     spatial_chi_square,
 )
 import hexdrop.verify as verify
+from hexdrop.geometry import BLOCK, chord_y_bounds, marginal_x_cdf, sample_x
 from hexdrop.verify import (
     VerifyReport,
     equal_area_bin_counts,
@@ -80,6 +83,27 @@ def test_run_verification_passes_the_sampled_positions(monkeypatch):
     assert tested[0] is sampled[0]
 
 
+# rows that span two whole blocks and a partial third
+ACROSS_BLOCKS = 2 * BLOCK + 3
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_run_drop_matches_one_shot_formulas_across_blocks(shape):
+    geom = CellGeometry(shape, 1000.0)
+    pl = load_preset("urban-macro").pathloss_params()
+    n = ACROSS_BLOCKS
+    stream = VariateStream(5)
+    x = sample_x(geom, stream.uniforms(n))
+    lo, hi = chord_y_bounds(geom, x)
+    y = lo + (hi - lo) * stream.uniforms(n)
+    r = np.hypot(x, y)
+    lp = pl.alpha + pl.beta * np.log10(r / pl.r0) + pl.sigma_psi * stream.normals(n)
+    t = run_drop(geom, pl, n, seed=5)
+    assert np.array_equal(t.xy, np.column_stack([x, y]))
+    assert np.array_equal(t.r, r)
+    assert np.array_equal(t.lp, lp)
+
+
 def test_run_drop_rejects_empty():
     geom, pl = _macro()
     with pytest.raises(ValueError):
@@ -95,6 +119,15 @@ def test_samples_csv_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text(encoding="utf-8").splitlines()[0]
     assert header == "x_m,y_m,r_m,w_db,psi_db,lp_db"
+
+
+def test_csv_rows_match_one_row_at_a_time_across_blocks(tmp_path):
+    cols = VariateStream(8).normals(3 * ACROSS_BLOCKS).reshape(3, -1) * 100.0
+    out = tmp_path / "d.csv"
+    write_density_csv(out, *cols)
+    rows = zip(*(c.tolist() for c in cols))
+    expected = "l_db,f_closed,f_oracle\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_density_csv_rejects_unequal_columns(tmp_path):
@@ -121,6 +154,25 @@ def test_ks_against_known_cdf():
     assert shifted.statistic > 5.0 * shifted.critical
 
 
+def test_ks_statistic_matches_one_shot_across_blocks():
+    samples = VariateStream(6).normals(ACROSS_BLOCKS)
+    seen = []
+
+    def cdf(v):
+        seen.append(v.copy())
+        return special.ndtr(v)
+
+    res = ks_test(samples, cdf)
+    # cdf saw contiguous slices of the sorted sample, in order
+    assert [len(v) for v in seen] == [BLOCK, BLOCK, 3]
+    s = np.sort(samples)
+    assert np.array_equal(np.concatenate(seen), s)
+    n = len(s)
+    f = special.ndtr(s)
+    i = np.arange(1, n + 1)
+    assert res.statistic == max(np.max(i / n - f), np.max(f - (i - 1) / n))
+
+
 def test_ks_rejects_empty():
     with pytest.raises(ValueError):
         ks_test(np.array([]), lambda v: v)
@@ -135,6 +187,19 @@ def test_equal_area_bins_cover_all_points():
     counts = equal_area_bin_counts(geom, pts)
     assert counts.sum() == 5000
     assert counts.size == 96
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_equal_area_bins_match_one_shot_across_blocks(shape):
+    geom = CellGeometry(shape, 1.0)
+    pts = sample_points(geom, VariateStream(7), ACROSS_BLOCKS)
+    x, y = pts[:, 0], pts[:, 1]
+    lo, hi = chord_y_bounds(geom, x)
+    width = hi - lo
+    v = np.where(width > 0.0, (y - lo) / np.where(width > 0.0, width, 1.0), 0.5)
+    iu = np.clip((marginal_x_cdf(geom, x) * 12).astype(int), 0, 11)
+    iv = np.clip((v * 8).astype(int), 0, 7)
+    assert np.array_equal(equal_area_bin_counts(geom, pts), np.bincount(iu * 8 + iv, minlength=96))
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -208,3 +273,19 @@ def test_seed_sweep_false_rejection_rate():
         if ks_test(table.lp, lambda v: shadowed_cdf(model, v)).passed:
             passes += 1
     assert passes >= 95
+
+
+def test_run_verification_peak_memory_is_at_most_seven_columns():
+    # the drop keeps four n-length float columns (x, y, w, psi); the KS test
+    # adds lp and its sorted copy, and every other pass works in blocks
+    geom = CellGeometry(CellShape.RHOMBUS120, 1000.0)
+    model = preset_model("suburban-macro", 1000.0)
+    shadowed_cdf(model, 0.0)  # build the cached CDF table outside the trace
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        run_verification(geom, model, "suburban-macro", n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 8 * n, f"peak {peak / 2**20:.1f} MiB"
