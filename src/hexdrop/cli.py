@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DensityModel, shadowed_pdf, shadowed_pdf_conv
+from .density import DensityModel, shadowed_pdf_conv, shadowed_pdf_grid
 from .geometry import CellGeometry, CellShape
 from .presets import (
     BUILTIN_PRESETS,
@@ -123,7 +123,7 @@ def _cmd_pdf(args) -> int:
             "more than an array can hold"
         )
     grid = np.arange(lo, hi + args.step / 2.0, args.step)
-    closed = np.array([shadowed_pdf(model, float(l)) for l in grid])
+    closed = shadowed_pdf_grid(model, grid)
     oracle = None
     if args.with_oracle:
         oracle = np.array([shadowed_pdf_conv(model, float(l)) for l in grid])
@@ -161,8 +161,7 @@ def _cmd_verify(args) -> int:
         write_samples_csv(samples_csv, table)
         lo, hi = _default_range(model)
         grid = np.linspace(lo, hi, 801)
-        closed = np.array([shadowed_pdf(model, float(l)) for l in grid])
-        write_density_csv(curve_csv, grid, closed)
+        write_density_csv(curve_csv, grid, shadowed_pdf_grid(model, grid))
         _write_gnuplot(
             stem.with_suffix(".gp"),
             ["binwidth = 1.0", "bin(x) = binwidth*floor(x/binwidth) + binwidth/2"],

@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import check_side
-from .numerics import ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, cusp_smoothed, q_function
+from .geometry import BLOCK, check_side
+from .numerics import GK_PANELS, ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, q_function
 from .pathloss import PathLossParams
 
 SQRT3 = math.sqrt(3.0)
@@ -45,6 +45,9 @@ GAUSS_REACH = 9.5
 # The distance-driven density has an exponential lower tail with rate
 # 2*ln10/beta per dB; 4.5*beta below its knee the remaining mass is ~1e-9.
 LOWER_TAIL_DECADES = 4.5
+
+# Points per adaptive loop of shadowed_pdf_grid: at most BLOCK abscissae (15 per panel) in its first pass.
+GRID_CHUNK = BLOCK // (GK_PANELS * 15)
 
 # Nodes of the cumulative table behind shadowed_cdf; odd, so that
 # Simpson panels tile the grid.
@@ -201,47 +204,61 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
     of its largest value in the window, negligible next to the Q terms
     however far into the upper tail, and the evaluation stays stable for
     vanishing sigma.  Raises ValueError, naming l, sigma and beta, when mu
-    or K(l) leaves the floating-point range.
+    or K(l) leaves the floating-point range; NaN gives NaN.  A one-point
+    call of :func:`shadowed_pdf_grid`, which tabulates whole grids at once.
     """
+    return float(shadowed_pdf_grid(model, [l], tol)[0])
+
+
+def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
+    """:func:`shadowed_pdf` at each loss of the 1-D array l.  mu, K(l), z_max
+    and z_knee are formed for all points at once, the integrals GRID_CHUNK
+    points per call of :func:`hexdrop.numerics.arcsine_gauss_integral`.  The
+    ValueError names the first finite l whose mu or K(l) is not finite, with
+    the error that Python's float arithmetic meets there."""
     p = model.pathloss
     sigma = p.sigma_psi
     if not sigma > 0.0:
         raise ValueError("shadowing deviation must be positive")
     L2 = model.side * model.side
-    try:
+
+    def mu_prefactor(l):  # on floats, ArithmeticError out of range; on arrays, inf
         mu = l - p.alpha + 2.0 * LN10 * sigma**2 / p.beta
-        prefactor = (4.0 * p.r0 * p.r0 * LN10 / (SQRT3 * L2 * p.beta)) * 10.0 ** (
+        return mu, (4.0 * p.r0 * p.r0 * LN10 / (SQRT3 * L2 * p.beta)) * 10.0 ** (
             2.0 * (LN10 * sigma * sigma + p.beta * (l - p.alpha)) / (p.beta * p.beta)
         )
-    except ArithmeticError as exc:
-        raise ValueError(
-            f"loss {l} dB at sigma {sigma} dB and beta {p.beta} dB/decade is outside "
-            f"the floating-point range of the closed form ({type(exc).__name__}); "
-            f"the model's maximum mean loss is {model.max_loss_db:.6g} dB"
-        ) from None
-    z_max = (mu - p.beta * math.log10(model.side / p.r0)) / sigma
-    z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
 
-    lo = max(z_max / math.sqrt(2.0), -GAUSS_REACH)
-    hi = min(z_knee / math.sqrt(2.0), max(lo, 0.0) + GAUSS_REACH)
-    if hi > lo:
-        params = ArcsineGaussParams(
-            scale=SQRT3 * model.side / (2.0 * p.r0),
-            offset=mu / p.beta,
-            slope=-math.sqrt(2.0) * sigma / p.beta,
-            lo=lo,
-            hi=hi,
-        )
-        integral = arcsine_gauss_integral(params, tol=tol)
-    else:
-        integral = 0.0
-
-    bracket = (
-        math.pi * q_function(z_knee)
-        - (2.0 * math.pi / 3.0) * q_function(z_max)
-        + (2.0 / math.sqrt(math.pi)) * integral
-    )
-    return prefactor * bracket
+    l = np.atleast_1d(np.asarray(l, dtype=float))
+    with np.errstate(all="ignore"):
+        first = l[0] if l.size else math.nan  # where a term without l is out of range
+        try:
+            mu, prefactor = mu_prefactor(l)
+            wrong = l[np.isfinite(l) & ~(np.isfinite(mu) & np.isfinite(prefactor))]
+            if wrong.size:
+                first = float(wrong[0])
+                mu_prefactor(first)  # Python's float arithmetic names the error,
+                raise OverflowError  # or reaches inf without one
+        except ArithmeticError as exc:
+            raise ValueError(
+                f"loss {first} dB at sigma {sigma} dB and beta {p.beta} dB/decade is outside "
+                f"the floating-point range of the closed form ({type(exc).__name__}); "
+                f"the model's maximum mean loss is {model.max_loss_db:.6g} dB"
+            ) from None
+        z_max = (mu - p.beta * math.log10(model.side / p.r0)) / sigma
+        z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
+        lo = np.maximum(z_max / math.sqrt(2.0), -GAUSS_REACH)
+        hi = np.minimum(z_knee / math.sqrt(2.0), np.maximum(lo, 0.0) + GAUSS_REACH)
+        integral = np.zeros_like(l)
+        need = np.flatnonzero(hi > lo)
+        for a in range(0, need.size, GRID_CHUNK):
+            k = need[a : a + GRID_CHUNK]
+            params = ArcsineGaussParams(
+                SQRT3 * model.side / (2.0 * p.r0), mu[k] / p.beta, -math.sqrt(2.0) * sigma / p.beta, lo[k], hi[k]
+            )
+            integral[k] = arcsine_gauss_integral(params, tol=tol)
+        q_knee, q_max = (np.fromiter(map(q_function, z), float, l.size) for z in (z_knee, z_max))
+        bracket = math.pi * q_knee - (2.0 * math.pi / 3.0) * q_max + (2.0 / math.sqrt(math.pi)) * integral
+        return prefactor * bracket
 
 
 def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> float:
@@ -280,9 +297,8 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
     a, b = grid[:-1], grid[1:]
     plain = b != t_knee
     total = adaptive_simpson(integrand, a[plain], b[plain], tol)
-    for x in a[~plain]:
-        g, h = cusp_smoothed(integrand, t_knee, float(x))
-        total += adaptive_simpson(g, 0.0, h, tol)
+    for x in a[~plain]:  # tau = t_knee - s^2 makes the cusp smooth in s
+        total += adaptive_simpson(lambda s: 2.0 * s * integrand(t_knee - s * s), 0.0, math.sqrt(t_knee - x), tol)
     return total
 
 
@@ -321,7 +337,7 @@ def _cdf_table(model: DensityModel, points: int) -> tuple[np.ndarray, np.ndarray
     lower = model.knee_loss_db - LOWER_TAIL_DECADES * p.beta - 8.0 * p.sigma_psi
     upper = model.max_loss_db + 8.0 * p.sigma_psi
     grid = np.linspace(lower, upper, points)
-    f = np.array([shadowed_pdf(model, float(x)) for x in grid])
+    f = shadowed_pdf_grid(model, grid)
     h = grid[1] - grid[0]
     f0, f1, f2 = f[:-2:2], f[1::2], f[2::2]
     cum = np.empty_like(grid)

@@ -2,8 +2,8 @@
 
 Four pieces: the Gaussian tail (Q) function, one breadth-first adaptive
 loop on arrays with two rule pairs, Gauss-Kronrod (G7/K15) for the closed
-form and Simpson for the convolution oracle (both with a substitution that
-smooths a square-root cusp), and the integral
+form and Simpson for the convolution oracle (their callers smooth a
+square-root cusp by a substitution), and the integral
 
     I(k, a, b; x1, x2) = int_{x1}^{x2} exp(-x^2) * asin(k * 10^-(a + b x)) dx
 
@@ -54,8 +54,8 @@ _GK_EDGES = np.arange(GK_PANELS + 1) / GK_PANELS
 # A panel is accepted once |K - G| is within this share of |K| whatever
 # its share of tol: the pair then agrees to rounding.
 GK_ROUNDING = 1e-14
-# Open panels at once before the adaptive loop gives up: noise fails on
-# every panel, which would otherwise double them each round.
+# Open panels of one integral before the adaptive loop gives up: noise fails
+# on every panel, which would otherwise double them each round.
 GK_MAX_PANELS = 4096
 
 
@@ -72,25 +72,33 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / SQRT2)
 
 
-def _adapt(rule, f, a: np.ndarray, b: np.ndarray, tol: float, name: str) -> float:
-    """Breadth-first adaptive quadrature over the panels [a, b].  Each round,
-    rule(f, a, b, tol, depth) gives every open panel's value, error estimate,
-    acceptance at its share of tol, and midpoint from one call of f; the
-    accepted values are summed and the rest bisected at their midpoints.
-    Raises NonConvergenceError after MAX_DEPTH rounds or past GK_MAX_PANELS panels."""
-    lo, hi, total = a, b, 0.0
+def _adapt(rule, f, a: np.ndarray, b: np.ndarray, share: np.ndarray, owner: np.ndarray, name: str) -> np.ndarray:
+    """Breadth-first adaptive quadrature of share.size integrals, panel [a, b]
+    of integral owner.  Each round, rule(g, a, b, tol, depth) gives every open
+    panel's value, error, acceptance at its integral's share of tol and midpoint
+    from one call g(x) = f(x, owner); accepted values go to their integral's
+    total, the rest are bisected.  Returns the totals; raises NonConvergenceError
+    after MAX_DEPTH rounds or past GK_MAX_PANELS open panels of one integral."""
+    first = a, b, owner
+    total = np.zeros(share.size)
     for depth in range(MAX_DEPTH + 1):
-        value, err, done, mid = rule(f, a, b, tol, depth)
+        value, err, done, mid = rule(lambda x: f(x, owner), a, b, share[owner], depth)
+        total += np.bincount(owner[done], value[done], share.size)
         if done.all():
-            return total + float(value.sum())
-        total += float(value[done].sum())
-        a, b, mid = a[~done], b[~done], mid[~done]
-        if 2 * a.size > GK_MAX_PANELS:
+            return total
+        keep = ~done
+        left = owner[keep]
+        # all open panels bound those of any one integral
+        if 2 * left.size > GK_MAX_PANELS and 2 * np.bincount(left).max() > GK_MAX_PANELS:
             break
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        a, b, mid = a[keep], b[keep], mid[keep]
+        a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([left, left])
+    err = err[keep]
+    k = left[err.argmax()]  # the integral with the largest open error
+    lo, hi = first[0][first[2] == k].min(), first[1][first[2] == k].max()
     raise NonConvergenceError(
-        f"{name} did not reach its tolerance on [{lo.min()}, {hi.max()}]: "
-        f"{int(np.count_nonzero(~done))} panels unresolved, largest error estimate {err.max():.3e}"
+        f"{name} did not reach its tolerance on [{lo}, {hi}]: "
+        f"{int(np.count_nonzero(left == k))} panels unresolved, largest error estimate {err.max():.3e}"
     )
 
 
@@ -130,15 +138,8 @@ def adaptive_simpson(f, lo, hi, tol: float) -> float:
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     a, b = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
-    return _adapt(_simpson_rule, f, a, b, tol, "adaptive Simpson")
-
-
-def cusp_smoothed(f, cusp: float, other: float):
-    """(g, h) with the integral of f between cusp and other equal to that
-    of g over [0, h], f having a square-root cusp at cusp: x = cusp -/+ s^2
-    makes it smooth in s.  g takes what f takes, floats or arrays."""
-    sign = -1.0 if other < cusp else 1.0
-    return (lambda s: 2.0 * s * f(cusp + sign * (s * s))), math.sqrt(abs(cusp - other))
+    one = np.zeros(a.size, dtype=int)  # every segment adds to integral 0
+    return float(_adapt(_simpson_rule, lambda x, k: f(x), a, b, np.array([tol]), one, "adaptive Simpson")[0])
 
 
 def gauss_kronrod(f, lo: float, hi: float, tol: float) -> float:
@@ -154,10 +155,17 @@ def gauss_kronrod(f, lo: float, hi: float, tol: float) -> float:
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if lo == hi:
-        return 0.0
-    edges = lo + (hi - lo) * _GK_EDGES
-    return _adapt(_gauss_kronrod_rule, f, edges[:-1], edges[1:], tol / (hi - lo), "Gauss-Kronrod")
+    return float(_gauss_kronrod(lambda x, k: f(x), np.array([lo]), np.array([hi]), tol)[0])
+
+
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    # gauss_kronrod over each pair of lo and hi, f(x, k) taking the integral k of each row of x
+    k = np.flatnonzero(lo != hi)
+    edges = lo[k, None] + (hi - lo)[k, None] * _GK_EDGES
+    with np.errstate(divide="ignore"):
+        share = tol / (hi - lo)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    return _adapt(_gauss_kronrod_rule, f, a, b, share, np.repeat(k, GK_PANELS), "Gauss-Kronrod")
 
 
 @dataclass(frozen=True)
@@ -166,36 +174,26 @@ class ArcsineGaussParams:
 
     The arcsine argument is scale * 10^-(offset + slope*x); it must stay
     within [0, 1] over [lo, hi], which is checked at the endpoints since
-    the argument is monotone in x.
+    the argument is monotone in x.  offset, lo and hi may be equal-length
+    arrays, one integral per element, checked element by element.
     """
 
     scale: float
-    offset: float
+    offset: float | np.ndarray
     slope: float
-    lo: float
-    hi: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"lo={self.lo} exceeds hi={self.hi}")
+        lo, hi = np.broadcast_arrays(self.lo, self.hi)
+        if (lo > hi).any():
+            raise ValueError(f"lo={lo[lo > hi][0]} exceeds hi={hi[lo > hi][0]}")
         if self.scale < 0.0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     def argument(self, x):
         """The arcsine argument at x, a float or an array."""
         return self.scale * 10.0 ** (-(self.offset + self.slope * x))
-
-
-def _checked_endpoint_args(p: ArcsineGaussParams) -> tuple[float, float]:
-    try:
-        a_lo, a_hi = p.argument(p.lo), p.argument(p.hi)
-    except OverflowError:
-        raise ValueError("arcsine argument overflows on the interval") from None
-    if max(a_lo, a_hi) > 1.0 + ARG_CLAMP:
-        raise ValueError(
-            f"arcsine argument exceeds 1 on the interval (max {max(a_lo, a_hi):.6g})"
-        )
-    return min(a_lo, 1.0), min(a_hi, 1.0)
 
 
 def _log_asin_taylor_coeff(n: int) -> float:
@@ -239,42 +237,54 @@ def _series_value(p: ArcsineGaussParams, tol: float) -> float:
     )
 
 
-def _quadrature_value(p: ArcsineGaussParams, arg_lo: float, arg_hi: float, tol: float) -> float:
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.exp(-x * x) * np.arcsin(np.minimum(p.argument(x), 1.0))
+def _quadrature_value(p: ArcsineGaussParams, arg_lo: np.ndarray, arg_hi: np.ndarray, tol: float) -> np.ndarray:
+    offset, lo, hi, _ = np.broadcast_arrays(p.offset, p.lo, p.hi, arg_lo)
+    # the arcsine derivative blows up at the end where the argument reaches 1:
+    # past 0.999 the integral runs in s over [0, sqrt(hi - lo)], x = cusp -/+ s^2
+    smooth, up = np.maximum(arg_lo, arg_hi) <= 0.999, arg_hi >= arg_lo
+    cusp, sign = np.where(up, hi, lo), np.where(up, -1.0, 1.0)
 
-    if max(arg_lo, arg_hi) <= 0.999:
-        return gauss_kronrod(integrand, p.lo, p.hi, tol)
-    # the arcsine derivative blows up at the end where the argument reaches 1
-    cusp, other = (p.hi, p.lo) if arg_hi >= arg_lo else (p.lo, p.hi)
-    g, h = cusp_smoothed(integrand, cusp, other)
-    return gauss_kronrod(g, 0.0, h, tol)
+    def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        plain = smooth[k, None]
+        x = np.where(plain, s, cusp[k, None] + sign[k, None] * (s * s))
+        arg = p.scale * 10.0 ** (-(offset[k, None] + p.slope * x))  # p.argument(x) at row k's offset
+        return np.where(plain, 1.0, 2.0 * s) * (np.exp(-x * x) * np.arcsin(np.minimum(arg, 1.0)))
+
+    return _gauss_kronrod(integrand, np.where(smooth, lo, 0.0), np.where(smooth, hi, np.sqrt(hi - lo)), tol)
 
 
-def arcsine_gauss_integral(
-    p: ArcsineGaussParams, method: str = "quadrature", tol: float = 1e-12
-) -> float:
-    """Evaluate the Gaussian-arcsine integral.
+def arcsine_gauss_integral(p: ArcsineGaussParams, method: str = "quadrature", tol: float = 1e-12):
+    """Evaluate the Gaussian-arcsine integral; for array offset, lo and hi,
+    one integral per element (quadrature only, else ValueError).
 
     method "quadrature" (authoritative path) integrates to absolute tolerance
-    tol by :func:`gauss_kronrod`, in the variable x = cusp -/+ s^2 when the
-    argument reaches 1 at an end, where the arcsine has a square-root cusp;
+    tol by Gauss-Kronrod, all elements in one adaptive loop; where the
+    argument passes 0.999 at an end, in the variable s of x = cusp -/+ s^2,
+    since the arcsine has a square-root cusp where its argument reaches 1;
     method "series" sums the Taylor closed form, truncated once the next term
     falls below tol times the partial sum (at least 4 terms).  It converges
     fast while the arcsine argument stays below 1 on the interval; where the
     argument touches 1 its tail is polynomial, and SeriesDivergenceError is
     raised if SERIES_MAX_TERMS terms do not reach tol.
     """
+    scalar = np.ndim(p.offset) == np.ndim(p.lo) == np.ndim(p.hi) == 0
+    if method != "quadrature" and not (method == "series" and scalar):
+        raise ValueError(f"method {method!r} is not 'quadrature', or 'series' with scalar offset, lo and hi")
     if p.scale == 0.0:
-        return 0.0
-    arg_lo, arg_hi = _checked_endpoint_args(p)
-    if p.lo == p.hi:
-        return 0.0
+        return 0.0 if scalar else np.zeros(np.broadcast(p.offset, p.lo, p.hi).shape)
+    with np.errstate(over="ignore"):
+        arg_lo, arg_hi = p.argument(np.atleast_1d(p.lo)), p.argument(np.atleast_1d(p.hi))
+    top = np.maximum(arg_lo, arg_hi)
+    if np.isinf(top).any():
+        raise ValueError("arcsine argument overflows on the interval")
+    if (top > 1.0 + ARG_CLAMP).any():
+        raise ValueError(f"arcsine argument exceeds 1 on the interval (max {top[top > 1.0 + ARG_CLAMP][0]:.6g})")
+    arg_lo, arg_hi = np.minimum(arg_lo, 1.0), np.minimum(arg_hi, 1.0)
     if p.slope == 0.0:
         # constant arcsine factor times the Gaussian mass of the interval
-        return math.asin(arg_lo) * 0.5 * SQRT_PI * (special.erf(p.hi) - special.erf(p.lo))
-    if method == "quadrature":
-        return _quadrature_value(p, arg_lo, arg_hi, tol)
-    if method == "series":
-        return _series_value(p, tol)
-    raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'series'")
+        value = np.arcsin(arg_lo) * 0.5 * SQRT_PI * (special.erf(p.hi) - special.erf(p.lo))
+    elif method == "series":
+        value = 0.0 if p.lo == p.hi else _series_value(p, tol)
+    else:
+        value = _quadrature_value(p, arg_lo, arg_hi, tol)
+    return np.asarray(value).item() if scalar else value

@@ -198,12 +198,12 @@ GOLDEN = [
     (
         ["pdf", "--preset", "urban-macro", "--side", "1000", "--from", "120", "--to", "150",
          "--step", "1", "--out", "pdf.csv"],
-        {"pdf.csv": "6b1b60a1edf5b89120cdf8426e569ca3d5770d0a62bb928f9781190c691d9728"},
+        {"pdf.csv": "889b6b5fc3a5a836f40e253beea984ae2710d996f7613a7f16af5fe0f860853c"},
     ),
     (
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--out", "pdf.csv"],
-        {"pdf.csv": "0583f4a69d9af4dcb025de4933da66cd80b1614ddfd3a1c4e60dd2c44dd1742f"},
+        {"pdf.csv": "a8e5d2bd4fd233a3895693aef15328b59fb79c57009694c5f86db05a8119368c"},
     ),
     (
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
@@ -211,7 +211,7 @@ GOLDEN = [
         {
             "report.json": "d81f9546d1c1f50e3159be482822499d23612bd82768611e9e133390ca4d829c",
             "report_samples.csv": "fd8884e624c126be75067675912a7bd1243b9e000628cb1ba0a132fd52d8d0cc",
-            "report_curve.csv": "0a7691e488edf7fe660205cb71919c5d14e83bd38bf97d30a69f7e670c05ae1f",
+            "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
@@ -219,7 +219,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "0583f4a69d9af4dcb025de4933da66cd80b1614ddfd3a1c4e60dd2c44dd1742f",
+            "pdf.csv": "a8e5d2bd4fd233a3895693aef15328b59fb79c57009694c5f86db05a8119368c",
             "pdf.csv.gp": "4b67b43ee2a4b9526e007a5db9345de59a164e0baee816b7831d21b2d0cc79de",
         },
     ),
@@ -227,7 +227,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "efa956fbbe99a0d59727c767bec5b2761a8204d3f5cad9dfe2c30f1dd81774c2",
+            "pdf.csv": "d1ed39fcbfd22db83f2f41ee36891677506bd01ffd0eaf7546a75f6057a63e8c",
             "pdf.csv.gp": "69998c9d5125a26045846dd5724b331278e5a6687618e9bc67a846f6f145b33e",
         },
     ),
@@ -242,7 +242,7 @@ GOLDEN = [
         {
             "report.json": "b29eb7fcfda55977361af682c44bb7b3e2a9e5efef9830431e0c46c17ffe5eed",
             "report_samples.csv": "25dd7062d2e18f82bafad5d5fdbc674450c71ff39b9d9936685644715f93049d",
-            "report_curve.csv": "0a7691e488edf7fe660205cb71919c5d14e83bd38bf97d30a69f7e670c05ae1f",
+            "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
@@ -252,7 +252,7 @@ GOLDEN = [
         {
             "report.json": "9c46d92f0aecbf8ac4f2c7d8c0b692ee56174ee40d6339eec928eaa0da46d19e",
             "report_samples.csv": "fef89412a92e11ca61d0e03aed84b836640181aed339955be98144441780ee5e",
-            "report_curve.csv": "0a7691e488edf7fe660205cb71919c5d14e83bd38bf97d30a69f7e670c05ae1f",
+            "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hexdrop import (
     shadowed_pdf,
     shadowed_pdf_conv,
 )
-from hexdrop.density import _cdf_table, exponent_merge_identity
+from hexdrop.density import GRID_CHUNK, _cdf_table, exponent_merge_identity, shadowed_pdf_grid
 
 from conftest import PRESET_CASES, preset_model
 
@@ -331,3 +332,39 @@ NAN_CASES = {
 def test_nan_in_gives_nan_out(name):
     # no branch default may turn a NaN argument into a density or a probability
     assert math.isnan(NAN_CASES[name](preset_model("urban-macro", 1000.0), math.nan))
+
+
+@pytest.mark.parametrize("name,side", PRESET_CASES)
+def test_grid_matches_one_point_calls(name, side):
+    # over the default pdf range, in three adaptive loops; one point at a
+    # time, each integral has a loop of its own
+    m = preset_model(name, side)
+    p = m.pathloss
+    grid = np.linspace(m.knee_loss_db - max(6.0 * p.sigma_psi, 2.5 * p.beta), m.max_loss_db + 6.0 * p.sigma_psi,
+                       2 * GRID_CHUNK + 3)
+    one = np.array([shadowed_pdf(m, float(l)) for l in grid])
+    assert np.abs(shadowed_pdf_grid(m, grid) / one - 1.0).max() <= 2e-15
+
+
+def test_grid_overflow_names_the_first_point_out_of_range():
+    m = preset_model("urban-macro", 1000.0)
+    grid = np.array([120.0, math.nan, 130.0, 5000.0, 5500.0, 6000.0, math.inf])
+    with pytest.raises(ValueError, match=r"^loss 5500\.0 dB at sigma 10\.0 dB .* \(OverflowError\); .* is 139\.5 dB$"):
+        shadowed_pdf_grid(m, grid)
+    got = shadowed_pdf_grid(m, grid[:4])
+    assert math.isnan(got[1]) and np.all(got[[0, 2]] > 0.0) and got[3] == 0.0
+
+
+def test_grid_memory_does_not_grow_with_the_grid():
+    # the integrals run GRID_CHUNK points at a time, so the first pass of
+    # each loop evaluates at most BLOCK abscissae whatever the grid length
+    m = preset_model("urban-micro-los", 250.0)
+    shadowed_pdf_grid(m, np.array([90.0]))
+    for n in (3 * GRID_CHUNK, 9 * GRID_CHUNK):
+        tracemalloc.start()
+        try:
+            shadowed_pdf_grid(m, np.linspace(50.0, 140.0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

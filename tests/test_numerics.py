@@ -13,7 +13,9 @@ from hexdrop import (
 )
 from hexdrop.numerics import (
     GK_MAX_PANELS,
+    GK_PANELS,
     MAX_DEPTH,
+    _gauss_kronrod,
     _log_asin_taylor_coeff,
     _series_value,
     adaptive_simpson,
@@ -133,6 +135,32 @@ def test_gauss_kronrod_caps_signal_failure():
         gauss_kronrod(lambda x: noise.random(x.shape), 0.0, 1.0, 1e-13)
 
 
+def test_gauss_kronrod_batch_caps_panels_per_integral():
+    # 2000 integrals of an oscillation, bisected twice: 8000 first-pass
+    # panels and then far more than GK_MAX_PANELS open at once in all, but
+    # only 16 per integral
+    lo = np.linspace(-4.0, 3.0, 2000)
+    calls = []
+    val = _gauss_kronrod(lambda x, k: (calls.append(x.shape[0]), np.cos(40.0 * x))[1], lo, lo + 1.0, 1e-13)
+    assert calls[0] == 2000 * GK_PANELS and max(calls) > GK_MAX_PANELS
+    assert np.abs(val - (np.sin(40.0 * (lo + 1.0)) - np.sin(40.0 * lo)) / 40.0).max() <= 1e-14
+
+
+def test_gauss_kronrod_batch_names_the_integral_that_fails():
+    # integral 7 of 2000 is noise; the others are smooth and converge
+    lo, noise = np.arange(2000.0), np.random.default_rng(0)
+    f = lambda x, k: np.where((k == 7)[:, None], noise.random(x.shape), np.cos(x))
+    with pytest.raises(NonConvergenceError, match=r"on \[7\.0, 8\.0\]: "):
+        _gauss_kronrod(f, lo, lo + 1.0, 1e-13)
+
+
+def test_gauss_kronrod_batch_matches_one_at_a_time():
+    lo, hi = np.array([0.0, 1.0, 2.0, -1.0]), np.array([1.0, 1.0, 5.0, 0.5])
+    val = _gauss_kronrod(lambda x, k: np.sin(x) * np.exp(-x * x), lo, hi, 1e-13)
+    one = [gauss_kronrod(lambda x: np.sin(x) * np.exp(-x * x), a, b, 1e-13) for a, b in zip(lo, hi)]
+    assert val[1] == 0.0 and val == pytest.approx(one, rel=1e-14, abs=1e-16)
+
+
 # ------------------------------------------------- Gaussian-arcsine integral
 
 
@@ -207,6 +235,41 @@ def test_param_validation():
     p = ArcsineGaussParams(scale=0.5, offset=0.0, slope=0.1, lo=0.0, hi=1.0)
     with pytest.raises(ValueError):
         arcsine_gauss_integral(p, method="trapezoid")
+
+
+def _array_params(slope=0.2, **changed):
+    # three integrals whose arguments peak at 0.794, 1 and 0.9995: a plain
+    # one, a cusp, and one past 0.999 in the cusp variable; at lo for a
+    # positive slope, at hi for a negative one
+    lo, hi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 2.0, 0.5])
+    offset = -slope * np.where(slope > 0.0, lo, hi) - np.log10([0.794328, 1.0, 0.9995])
+    return ArcsineGaussParams(**dict(dict(scale=1.0, offset=offset, slope=slope, lo=lo, hi=hi), **changed))
+
+
+@pytest.mark.parametrize("slope", [0.2, -0.2])
+def test_array_params_give_one_integral_per_element(slope):
+    p = _array_params(slope)
+    val = arcsine_gauss_integral(p, "quadrature", tol=1e-13)
+    assert val.shape == (3,)
+    for i in range(3):
+        one = ArcsineGaussParams(p.scale, float(p.offset[i]), p.slope, float(p.lo[i]), float(p.hi[i]))
+        assert val[i] == pytest.approx(arcsine_gauss_integral(one, "quadrature", tol=1e-13), rel=1e-14)
+        assert val[i] == pytest.approx(_quad_reference(one), abs=1e-10)
+
+
+def test_array_params_checked_element_by_element():
+    with pytest.raises(ValueError, match=r"^lo=2\.0 exceeds hi=1\.5$"):
+        _array_params(lo=np.array([-1.0, 2.0, 3.0]), hi=np.array([1.0, 1.5, 2.0]))
+    # the second element's argument reaches 1.2 at lo, the third's 10^400.2
+    with pytest.raises(ValueError, match=r"exceeds 1 on the interval \(max 1\.2\)$"):
+        arcsine_gauss_integral(_array_params(offset=np.array([0.3, 0.2 - math.log10(1.2), 0.2])))
+    with pytest.raises(ValueError, match="^arcsine argument overflows on the interval$"):
+        arcsine_gauss_integral(_array_params(offset=np.array([0.3, 0.2, -400.0])))
+
+
+def test_series_rejects_array_params():
+    with pytest.raises(ValueError, match="'series' with scalar"):
+        arcsine_gauss_integral(_array_params(), "series")
 
 
 def test_series_divergence_signalled():
