@@ -11,6 +11,7 @@ import numpy as np
 
 from .density import DensityModel, shadowed_pdf_conv, shadowed_pdf_grid
 from .geometry import CellGeometry, CellShape
+from .numerics import NonConvergenceError
 from .presets import (
     BUILTIN_PRESETS,
     load_preset,
@@ -206,9 +207,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    # bad input, an unwritable output path or a request too large for memory is a
-    # usage error, not a failed verification
-    except (ValueError, OSError, MemoryError) as exc:
+    # bad input, an unwritable output path, a request too large for memory or
+    # parameters the quadrature cannot resolve are usage errors, not a failed
+    # verification
+    except (ValueError, OSError, MemoryError, NonConvergenceError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,16 +2,18 @@
 
 All of them rest on the distance law.  For a uniform drop in a 60 degree
 sector of side L (and therefore for the rhombus and the full hexagon,
-which repeat that sector), the polar joint density is 4r/(sqrt(3) L^2)
-and the separation r has the marginal
+which repeat that sector), the polar joint density is 4r/(sqrt(3) L^2).
+Every angle of the sector counts within the inscribed radius c =
+sqrt(3)L/2, and beyond it those with r cos(theta) <= c (theta from the
+sector's axis), which gives f(r) = 4 pi r / (3 sqrt(3) L^2) on the disc
+and 8 r / (sqrt(3) L^2) * (asin(c/r) - pi/3) on the ring c <= r <= L.
+With pi/6 for the bracket on the disc, the law is one expression over a
+clamped arcsine step (:func:`radial_pdf`, :func:`radial_cdf`):
 
-    f(r) = 4 pi r / (3 sqrt(3) L^2)                      0 <= r <= sqrt(3)L/2
-    f(r) = 8 r / (sqrt(3) L^2) * (asin(sqrt(3)L/(2r)) - pi/3)
-                                                         sqrt(3)L/2 <= r <= L
+    f(r) = 8 r / (sqrt(3) L^2) * (pi/6 if r <= c else asin(min(c/r, 1)) - pi/3)
 
-with the breakpoint at the inscribed radius sqrt(3)L/2
-(:func:`radial_pdf`, :func:`radial_cdf`).  Two densities are exposed
-for the loss between the base station and a uniformly dropped mobile:
+Two densities are exposed for the loss between the base station and a
+uniformly dropped mobile:
 
 * :func:`pathloss_pdf` - the distance-driven component alone, obtained
   from the radial law by the change of variables r = r0 * 10^((w-alpha)/beta);
@@ -54,58 +56,40 @@ GRID_CHUNK = BLOCK // (GK_PANELS * 15)
 CDF_POINTS = 3001
 
 
+def _arc_excess(ratio, disc):
+    """pi/6 where disc holds, asin(min(ratio, 1)) - pi/3 elsewhere: the
+    distance law's bracket.  Each caller decides disc in its own variable."""
+    return np.where(disc, math.pi / 6.0, np.arcsin(np.minimum(ratio, 1.0)) - math.pi / 3.0)
+
+
 def radial_pdf(side: float, r):
     """Marginal density of the separation r; zero beyond r = L, NaN at NaN."""
     L = check_side(side)
     arr = np.asarray(r, dtype=float)
     if (arr < 0.0).any():
         raise ValueError("r must be nonnegative")
-    knee = SQRT3 * L / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        outer = (
-            8.0
-            * arr
-            / (SQRT3 * L * L)
-            * (np.arcsin(np.clip(knee / np.where(arr > 0.0, arr, 1.0), -1.0, 1.0)) - math.pi / 3.0)
-        )
-    pdf = np.select(
-        [arr <= knee, arr <= L, arr > L],
-        [4.0 * math.pi * arr / (3.0 * SQRT3 * L * L), outer, 0.0],
-        default=np.nan,
-    )
+    c = SQRT3 * L / 2.0
+    with np.errstate(divide="ignore"):
+        pdf = np.where(arr > L, 0.0, 8.0 * arr / (SQRT3 * L * L) * _arc_excess(c / arr, arr <= c))
     return float(pdf) if np.ndim(r) == 0 else pdf
 
 
 def radial_cdf(side: float, r):
-    """CDF of the separation.
+    """CDF of the separation, 8/(sqrt(3) L^2) * g(r) for r clipped to [0, L]:
 
-    The inner piece integrates to 2 pi r^2 / (3 sqrt(3) L^2); the outer
-    piece uses the antiderivative of r*(asin(c/r) - pi/3),
+        g(r) = (r^2/2) (asin(c/r) - pi/3) + (c/2) sqrt(max(r^2 - c^2, 0))
 
-        (r^2/2) asin(c/r) + (c/2) sqrt(r^2 - c^2) - pi r^2 / 6,
-
-    which the tests cross-check against adaptive quadrature.  NaN at NaN.
+    integrates r times the law's bracket from 0, and with pi/6 for the
+    bracket it is pi r^2 / 12 on the disc; the tests cross-check it against
+    adaptive quadrature.  1 above L, NaN at NaN.
     """
     L = check_side(side)
     arr = np.asarray(r, dtype=float)
     c = SQRT3 * L / 2.0
-    inner_mass = math.pi / (2.0 * SQRT3)  # CDF at the breakpoint
-
-    rs = np.clip(arr, c, L)
-    with np.errstate(invalid="ignore"):
-        g = (
-            0.5 * rs * rs * np.arcsin(np.clip(c / rs, -1.0, 1.0))
-            + 0.5 * c * np.sqrt(np.maximum(rs * rs - c * c, 0.0))
-            - math.pi * rs * rs / 6.0
-        )
-    g_knee = math.pi * L * L / 16.0
-    outer = inner_mass + (8.0 / (SQRT3 * L * L)) * (g - g_knee)
-
-    cdf = np.select(
-        [arr <= 0.0, arr <= c, arr <= L, arr > L],
-        [0.0, 2.0 * math.pi * arr * arr / (3.0 * SQRT3 * L * L), outer, 1.0],
-        default=np.nan,
-    )
+    rs = np.clip(arr, 0.0, L)
+    with np.errstate(divide="ignore"):
+        g = 0.5 * rs * rs * _arc_excess(c / rs, rs <= c) + 0.5 * c * np.sqrt(np.maximum(rs * rs - c * c, 0.0))
+    cdf = np.where(arr > L, 1.0, 8.0 / (SQRT3 * L * L) * g)
     return float(cdf) if np.ndim(r) == 0 else cdf
 
 
@@ -143,42 +127,26 @@ class DensityModel:
 
 
 def pathloss_pdf(model: DensityModel, w):
-    """Density of the shadow-free loss, per dB.
+    """Density of the shadow-free loss, per dB: the radial law carried to dB
+    by r = r0 * 10^((w-alpha)/beta), so f_W(w) = f_R(r) * r * ln10 / beta,
 
-    Piecewise in w (alpha, beta, r0 from the model, side L):
+        (8 r^2 ln10 / (sqrt(3) L^2 beta)) * (asin(sqrt(3) L / (2r)) - pi/3),
 
-    * w <= knee:        (4 pi r0^2 ln10 / (3 sqrt(3) L^2 beta)) * 10^(2(w-alpha)/beta)
-    * knee <= w <= max: (8 r0^2 ln10 / (sqrt(3) L^2 beta)) * 10^(2(w-alpha)/beta)
-                        * (asin(sqrt(3) L / (2 r0 10^((w-alpha)/beta))) - pi/3)
-    * w > max:          0
-    * w NaN:            NaN
-
-    Accepts the full real line; the support extends to -inf because the
-    distance law is extrapolated below the close-in distance, where the
-    remaining mass is negligible for r0 much smaller than L.
+    with pi/6 for the bracket at and below the knee, 0 above max and NaN
+    at NaN.  The branch is decided in w, at the knee where the convolution
+    oracle splits its segments.  Accepts the full real line; the support
+    extends to -inf because the distance law is extrapolated below the
+    close-in distance, where the remaining mass is negligible for r0 much
+    smaller than L.
     """
     p = model.pathloss
-    arr = np.atleast_1d(np.asarray(w, dtype=float))
-    knee, top = model.knee_loss_db, model.max_loss_db
-    out = np.where(arr > top, 0.0, np.nan)
-    L2 = model.side * model.side
-    base = p.r0 * p.r0 * LN10 / (L2 * p.beta)
-
-    inner = arr <= knee
-    if inner.any():
-        out[inner] = (4.0 * math.pi / (3.0 * SQRT3)) * base * 10.0 ** (
-            2.0 * (arr[inner] - p.alpha) / p.beta
-        )
-    mid = (arr > knee) & (arr <= top)
-    if mid.any():
-        ratio = SQRT3 * model.side / (2.0 * p.r0 * 10.0 ** ((arr[mid] - p.alpha) / p.beta))
-        out[mid] = (
-            (8.0 / SQRT3)
-            * base
-            * 10.0 ** (2.0 * (arr[mid] - p.alpha) / p.beta)
-            * (np.arcsin(np.clip(ratio, -1.0, 1.0)) - math.pi / 3.0)
-        )
-    return float(out[0]) if np.ndim(w) == 0 else out
+    arr = np.asarray(w, dtype=float)
+    L = model.side
+    with np.errstate(divide="ignore", over="ignore"):
+        r = p.r0 * 10.0 ** ((arr - p.alpha) / p.beta)
+        law = r * r * _arc_excess(SQRT3 * L / (2.0 * r), arr <= model.knee_loss_db)
+    pdf = np.where(arr > model.max_loss_db, 0.0, (8.0 * LN10 / (SQRT3 * L * L * p.beta)) * law)
+    return float(pdf) if np.ndim(w) == 0 else pdf
 
 
 def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
@@ -282,7 +250,8 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
         raise ValueError("shadowing deviation must be positive")
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        gauss = np.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+        with np.errstate(over="ignore"):  # (tau/sigma)^2 = inf for a tiny sigma, and exp(-inf) = 0
+            gauss = np.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
         return gauss * pathloss_pdf(model, l - tau)
 
     t_low = l - model.max_loss_db  # below: shadow-free density is zero

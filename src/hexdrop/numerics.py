@@ -131,9 +131,11 @@ def adaptive_simpson(f, lo, hi, tol: float) -> float:
 
     Adaptive Simpson with the 15x Richardson test and correction (Boole's
     rule, exact on quintics), breadth-first: f maps an array of abscissae
-    to an array of values, called once per round on every open panel.  It
-    raises as :func:`gauss_kronrod` does, and serves only the convolution
-    oracle, which thereby stays a different method from the closed form.
+    to an array of values, called once per round on every open panel.
+    Raises ValueError unless tol > 0, and NonConvergenceError after
+    MAX_DEPTH bisection rounds or past GK_MAX_PANELS open panels.  It
+    serves only the convolution oracle, which thereby stays a different
+    method from the closed form.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -142,24 +144,21 @@ def adaptive_simpson(f, lo, hi, tol: float) -> float:
     return float(_adapt(_simpson_rule, lambda x, k: f(x), a, b, np.array([tol]), one, "adaptive Simpson")[0])
 
 
-def gauss_kronrod(f, lo: float, hi: float, tol: float) -> float:
-    """Integrate f over [lo, hi] to absolute tolerance tol, lo <= hi.
+def gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Integrate over [lo[k], hi[k]] to absolute tolerance tol, for each k of
+    equal-length arrays with lo <= hi, all in one adaptive loop.
 
-    f maps an array of abscissae to an array of values.  Each round applies
-    the G7/K15 pair to every open panel in one call of f, starting from
-    GK_PANELS equal panels, each with its width's share of tol; a panel is
-    accepted when |K - G| is within its share, or within GK_ROUNDING * |K|,
-    and the others are bisected.  The sum of the accepted K15 values is
-    returned.  Raises NonConvergenceError after MAX_DEPTH bisection rounds,
-    or when more than GK_MAX_PANELS panels are open at once.
+    f(x, k) maps an array of abscissae, row i belonging to integral k[i], to
+    an array of values.  Each round applies the G7/K15 pair to every open
+    panel in one call of f, starting from GK_PANELS equal panels per
+    integral, each with its width's share of tol; a panel is accepted when
+    |K - G| is within its share, or within GK_ROUNDING * |K|, and the others
+    are bisected.  Returns the sums of the accepted K15 values.  Raises
+    ValueError unless tol > 0, and NonConvergenceError after MAX_DEPTH
+    bisection rounds or past GK_MAX_PANELS open panels of one integral.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    return float(_gauss_kronrod(lambda x, k: f(x), np.array([lo]), np.array([hi]), tol)[0])
-
-
-def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    # gauss_kronrod over each pair of lo and hi, f(x, k) taking the integral k of each row of x
     k = np.flatnonzero(lo != hi)
     edges = lo[k, None] + (hi - lo)[k, None] * _GK_EDGES
     with np.errstate(divide="ignore"):
@@ -250,7 +249,7 @@ def _quadrature_value(p: ArcsineGaussParams, arg_lo: np.ndarray, arg_hi: np.ndar
         arg = p.scale * 10.0 ** (-(offset[k, None] + p.slope * x))  # p.argument(x) at row k's offset
         return np.where(plain, 1.0, 2.0 * s) * (np.exp(-x * x) * np.arcsin(np.minimum(arg, 1.0)))
 
-    return _gauss_kronrod(integrand, np.where(smooth, lo, 0.0), np.where(smooth, hi, np.sqrt(hi - lo)), tol)
+    return gauss_kronrod(integrand, np.where(smooth, lo, 0.0), np.where(smooth, hi, np.sqrt(hi - lo)), tol)
 
 
 def arcsine_gauss_integral(p: ArcsineGaussParams, method: str = "quadrature", tol: float = 1e-12):

@@ -203,7 +203,7 @@ GOLDEN = [
     (
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--out", "pdf.csv"],
-        {"pdf.csv": "a8e5d2bd4fd233a3895693aef15328b59fb79c57009694c5f86db05a8119368c"},
+        {"pdf.csv": "8b62878874fca6eab0d432020bea9284f61d43e1fab10be52a7dd08d9c8c4754"},
     ),
     (
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
@@ -219,7 +219,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "a8e5d2bd4fd233a3895693aef15328b59fb79c57009694c5f86db05a8119368c",
+            "pdf.csv": "8b62878874fca6eab0d432020bea9284f61d43e1fab10be52a7dd08d9c8c4754",
             "pdf.csv.gp": "4b67b43ee2a4b9526e007a5db9345de59a164e0baee816b7831d21b2d0cc79de",
         },
     ),
@@ -438,3 +438,18 @@ def test_traced_replay_reports_every_layer(tmp_path):
     assert result["code"] == 0
     declared = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
+
+
+@pytest.mark.parametrize("sigma, code", [(1e-15, 2), (1e-155, 0)])
+def test_oracle_at_a_vanishing_sigma(tmp_path, capsys, sigma, code):
+    # at 1e-15 dB the oracle's Gaussian is too narrow for adaptive Simpson: a
+    # NonConvergenceError is a usage error, not a failed verification; at
+    # 1e-155 dB (tau/sigma)^2 overflows to inf and the Gaussian to 0 without
+    # a RuntimeWarning, which pytest would raise
+    path = tmp_path / "presets.json"
+    path.write_text(json.dumps([dict(_GOOD_PRESET, sigma_psi_db=sigma)]), encoding="utf-8")
+    argv = ["pdf", "--preset", "x", "--presets-file", str(path), "--side", "1000",
+            "--from", "130", "--to", "139", "--step", "1", "--with-oracle", "--out", str(tmp_path / "d.csv")]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: adaptive Simpson did not reach its tolerance") if code else err == ""

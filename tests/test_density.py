@@ -95,6 +95,87 @@ def test_pathloss_pdf_change_of_variables(name, side):
     assert np.max(np.abs(got - expected) / expected) < 1e-12
 
 
+@pytest.mark.parametrize("side", [1.0, 250.0])
+def test_radial_law_limits(side):
+    # r = 0, the inscribed radius c, L and beyond; the single expression's
+    # c/0 and r*inf hazards raise no RuntimeWarning, which pytest would raise
+    c = SQRT3 * side / 2.0
+    above = np.nextafter(side, math.inf)
+    r = np.array([0.0, c, side, above, math.inf])
+    pdf, cdf = radial_pdf(side, r), radial_cdf(side, r)
+    assert pdf[0] == 0.0 and pdf[3] == 0.0 and pdf[4] == 0.0
+    assert pdf[1] == pytest.approx(4.0 * math.pi * c / (3.0 * SQRT3 * side * side), rel=1e-15)
+    assert abs(pdf[2]) <= 1e-15 / side  # asin(sqrt(3)/2) - pi/3 is rounding
+    assert cdf[0] == 0.0 and cdf[3] == 1.0 and cdf[4] == 1.0
+    assert cdf[1] == pytest.approx(math.pi / (2.0 * SQRT3), rel=1e-15)
+    assert abs(cdf[2] - 1.0) <= 2.0 * np.spacing(1.0)
+    assert [radial_pdf(side, float(x)) for x in r] == list(pdf)
+    assert [radial_cdf(side, float(x)) for x in r] == list(cdf)
+
+
+@pytest.mark.parametrize("name,side", PRESET_CASES)
+def test_pathloss_pdf_limits(name, side):
+    # w = -inf (r = 0), the knee, max and beyond, up to +inf
+    m = preset_model(name, side)
+    p = m.pathloss
+    top = m.max_loss_db
+    w = np.array([-math.inf, m.knee_loss_db, top, np.nextafter(top, math.inf), top + 1e6, math.inf])
+    pdf = pathloss_pdf(m, w)
+    assert pdf[0] == 0.0
+    assert pdf[1] == pytest.approx(math.pi * LN10 / (SQRT3 * p.beta), rel=1e-14)
+    assert abs(pdf[2]) <= 1e-12 * pdf[1]
+    assert list(pdf[3:]) == [0.0, 0.0, 0.0]
+    assert [pathloss_pdf(m, float(x)) for x in w] == list(pdf)
+
+
+def _mp_relative_errors(got, want):
+    mpmath = pytest.importorskip("mpmath")
+    return [float(abs(mpmath.mpf(g) / v - 1)) for g, v in zip(got, want)]
+
+
+@pytest.mark.parametrize("side", [1.0, 250.0, 1000.0])
+def test_radial_law_against_mpmath(side):
+    # 40-digit references at the float arguments; radial_pdf cancels in
+    # asin(c/r) - pi/3 as r nears L, so it is gated up to L(1 - 1e-4)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    L = mp.mpf(side)
+    c = mp.sqrt(3) * L / 2
+    r = np.concatenate([np.linspace(0.0, side, 401)[1:], side * (1.0 - np.logspace(-4, -1, 50))])
+
+    def bracket(x):
+        return mp.pi / 6 if x <= c else mp.asin(c / x) - mp.pi / 3
+
+    def g(x):  # the antiderivative of x * bracket(x) from 0
+        return x * x / 2 * bracket(x) + (c / 2 * mp.sqrt(x * x - c * c) if x > c else 0)
+
+    cdf_ref = [8 / (mp.sqrt(3) * L * L) * g(x) for x in map(mp.mpf, r)]
+    assert max(_mp_relative_errors(radial_cdf(side, r), cdf_ref)) <= 1e-14
+    r = r[r <= side * (1.0 - 1e-4)]
+    pdf_ref = [8 * x / (mp.sqrt(3) * L * L) * bracket(x) for x in map(mp.mpf, r)]
+    assert max(_mp_relative_errors(radial_pdf(side, r), pdf_ref)) <= 2e-12
+
+
+@pytest.mark.parametrize("name,side", [("urban-macro", 1000.0), ("urban-micro-los", 250.0)])
+def test_pathloss_pdf_against_mpmath(name, side):
+    # knee - 80 dB to max - 0.05 dB, the float model constants taken as exact
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    m = preset_model(name, side)
+    p = m.pathloss
+    L, beta = mp.mpf(side), mp.mpf(p.beta)
+    c = mp.sqrt(3) * L / 2
+    w = np.linspace(m.knee_loss_db - 80.0, m.max_loss_db - 0.05, 601)
+    ref = []
+    for x in w:
+        r = p.r0 * mp.power(10, (mp.mpf(x) - p.alpha) / beta)
+        law = mp.pi / 6 if r <= c else mp.asin(c / r) - mp.pi / 3
+        ref.append(8 * r * r * mp.log(10) / (mp.sqrt(3) * L * L * beta) * law)
+    assert max(_mp_relative_errors(pathloss_pdf(m, w), ref)) <= 2e-13
+
+
 # ------------------------------------------------------------ closed form
 
 
@@ -105,6 +186,12 @@ def test_sigma_zero_rejected():
         shadowed_pdf(m, 140.0)
     with pytest.raises(ValueError):
         shadowed_pdf_conv(m, 140.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_shadowed_pdf_rejects_a_tol_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        shadowed_pdf(preset_model("urban-macro", 1000.0), 140.0, tol=tol)
 
 
 @pytest.mark.parametrize("name,side", [("urban-macro", 1000.0), ("urban-micro-los", 250.0)])

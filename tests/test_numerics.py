@@ -15,7 +15,6 @@ from hexdrop.numerics import (
     GK_MAX_PANELS,
     GK_PANELS,
     MAX_DEPTH,
-    _gauss_kronrod,
     _log_asin_taylor_coeff,
     _series_value,
     adaptive_simpson,
@@ -103,36 +102,41 @@ def test_simpson_panel_cap_signals_failure():
     assert max(calls) <= GK_MAX_PANELS and len(calls) <= 13
 
 
+def gauss_kronrod_one(f, lo, hi, tol):
+    # one integral of f(x) over [lo, hi] through the array form
+    return gauss_kronrod(lambda x, k: f(x), np.array([lo]), np.array([hi]), tol)[0]
+
+
 def test_gauss_kronrod_exact_on_degree_22_in_one_pass():
     # K15 is exact to degree 22 and G7 only to 13: the first pass is
     # accepted on the pair's gap and already carries the exact value
     poly = np.polynomial.Polynomial(np.random.default_rng(22).normal(size=23))
     exact = poly.integ()(1.0) - poly.integ()(0.0)
     calls = []
-    val = gauss_kronrod(lambda x: (calls.append(x.shape), poly(x))[1], 0.0, 1.0, 1e-6)
+    val = gauss_kronrod_one(lambda x: (calls.append(x.shape), poly(x))[1], 0.0, 1.0, 1e-6)
     assert calls == [(4, 15)]
     assert val == pytest.approx(exact, rel=1e-14)
 
 
 def test_gauss_kronrod_gaussian():
-    val = gauss_kronrod(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-13)
+    val = gauss_kronrod_one(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-13)
     assert abs(val - SQRT_PI / 2.0) <= 1e-13
 
 
 def test_gauss_kronrod_edge_cases():
-    assert gauss_kronrod(np.sin, 1.0, 1.0, 1e-10) == 0.0
+    assert gauss_kronrod_one(np.sin, 1.0, 1.0, 1e-10) == 0.0
     with pytest.raises(ValueError):
-        gauss_kronrod(np.sin, 0.0, 1.0, 0.0)
+        gauss_kronrod_one(np.sin, 0.0, 1.0, 0.0)
 
 
 def test_gauss_kronrod_caps_signal_failure():
     # a jump never meets its panel's share of tol: the round cap ends it
     with pytest.raises(NonConvergenceError):
-        gauss_kronrod(lambda x: np.where(x < 1.0 / math.e, 0.0, 1.0), 0.0, 1.0, 1e-13)
+        gauss_kronrod_one(lambda x: np.where(x < 1.0 / math.e, 0.0, 1.0), 0.0, 1.0, 1e-13)
     # noise fails on every panel: the panel cap ends it before memory grows
     noise = np.random.default_rng(0)
     with pytest.raises(NonConvergenceError):
-        gauss_kronrod(lambda x: noise.random(x.shape), 0.0, 1.0, 1e-13)
+        gauss_kronrod_one(lambda x: noise.random(x.shape), 0.0, 1.0, 1e-13)
 
 
 def test_gauss_kronrod_batch_caps_panels_per_integral():
@@ -141,7 +145,7 @@ def test_gauss_kronrod_batch_caps_panels_per_integral():
     # only 16 per integral
     lo = np.linspace(-4.0, 3.0, 2000)
     calls = []
-    val = _gauss_kronrod(lambda x, k: (calls.append(x.shape[0]), np.cos(40.0 * x))[1], lo, lo + 1.0, 1e-13)
+    val = gauss_kronrod(lambda x, k: (calls.append(x.shape[0]), np.cos(40.0 * x))[1], lo, lo + 1.0, 1e-13)
     assert calls[0] == 2000 * GK_PANELS and max(calls) > GK_MAX_PANELS
     assert np.abs(val - (np.sin(40.0 * (lo + 1.0)) - np.sin(40.0 * lo)) / 40.0).max() <= 1e-14
 
@@ -151,13 +155,13 @@ def test_gauss_kronrod_batch_names_the_integral_that_fails():
     lo, noise = np.arange(2000.0), np.random.default_rng(0)
     f = lambda x, k: np.where((k == 7)[:, None], noise.random(x.shape), np.cos(x))
     with pytest.raises(NonConvergenceError, match=r"on \[7\.0, 8\.0\]: "):
-        _gauss_kronrod(f, lo, lo + 1.0, 1e-13)
+        gauss_kronrod(f, lo, lo + 1.0, 1e-13)
 
 
 def test_gauss_kronrod_batch_matches_one_at_a_time():
     lo, hi = np.array([0.0, 1.0, 2.0, -1.0]), np.array([1.0, 1.0, 5.0, 0.5])
-    val = _gauss_kronrod(lambda x, k: np.sin(x) * np.exp(-x * x), lo, hi, 1e-13)
-    one = [gauss_kronrod(lambda x: np.sin(x) * np.exp(-x * x), a, b, 1e-13) for a, b in zip(lo, hi)]
+    val = gauss_kronrod(lambda x, k: np.sin(x) * np.exp(-x * x), lo, hi, 1e-13)
+    one = [gauss_kronrod_one(lambda x: np.sin(x) * np.exp(-x * x), a, b, 1e-13) for a, b in zip(lo, hi)]
     assert val[1] == 0.0 and val == pytest.approx(one, rel=1e-14, abs=1e-16)
 
 
