@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DensityModel, shadowed_pdf_conv, shadowed_pdf_grid
+from .density import DensityModel, shadowed_pdf_conv_grid, shadowed_pdf_grid
 from .geometry import CellGeometry, CellShape
 from .numerics import NonConvergenceError
 from .presets import (
@@ -125,9 +125,7 @@ def _cmd_pdf(args) -> int:
         )
     grid = np.arange(lo, hi + args.step / 2.0, args.step)
     closed = shadowed_pdf_grid(model, grid)
-    oracle = None
-    if args.with_oracle:
-        oracle = np.array([shadowed_pdf_conv(model, float(l)) for l in grid])
+    oracle = shadowed_pdf_conv_grid(model, grid) if args.with_oracle else None
     write_density_csv(args.out, grid, closed, oracle)
     if args.gnuplot:
         csv_path = Path(args.out)

@@ -20,9 +20,9 @@ uniformly dropped mobile:
 * :func:`shadowed_pdf` - the loss with log-normal shadowing added, as a
   closed form whose only numerical step is a Gaussian-arcsine integral.
 
-:func:`shadowed_pdf_conv` evaluates the same shadowed density by brute
-force (numerical convolution of the Gaussian with the piecewise loss
-density) and serves as the oracle for the closed form.
+:func:`shadowed_pdf_conv` and :func:`shadowed_pdf_conv_grid` evaluate the
+same shadowed density by brute force (numerical convolution of the Gaussian
+with the piecewise loss density) and serve as the oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ LOWER_TAIL_DECADES = 4.5
 
 # Points per adaptive loop of shadowed_pdf_grid: at most BLOCK abscissae (15 per panel) in its first pass.
 GRID_CHUNK = BLOCK // (GK_PANELS * 15)
+
+ORACLE_CHUNK = 32  # loss points per adaptive Simpson loop of shadowed_pdf_conv_grid
 
 # Nodes of the cumulative table behind shadowed_cdf; odd, so that
 # Simpson panels tile the grid.
@@ -81,7 +83,7 @@ def radial_cdf(side: float, r):
 
     integrates r times the law's bracket from 0, and with pi/6 for the
     bracket it is pi r^2 / 12 on the disc; the tests cross-check it against
-    adaptive quadrature.  1 above L, NaN at NaN.
+    adaptive quadrature.  1 from L up, NaN at NaN.
     """
     L = check_side(side)
     arr = np.asarray(r, dtype=float)
@@ -89,7 +91,7 @@ def radial_cdf(side: float, r):
     rs = np.clip(arr, 0.0, L)
     with np.errstate(divide="ignore"):
         g = 0.5 * rs * rs * _arc_excess(c / rs, rs <= c) + 0.5 * c * np.sqrt(np.maximum(rs * rs - c * c, 0.0))
-    cdf = np.where(arr > L, 1.0, 8.0 / (SQRT3 * L * L) * g)
+    cdf = np.where(arr > L, 1.0, np.minimum(8.0 / (SQRT3 * L * L) * g, 1.0))  # g(L) rounds up by an ulp
     return float(cdf) if np.ndim(r) == 0 else cdf
 
 
@@ -239,36 +241,61 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
     the Gaussian envelope beyond +-9.5 sigma.  The integration range is
     split at those points (plus a few Gaussian landmarks, so the adaptive
     rule cannot step over a narrow bump) and each piece integrated to the
-    absolute tolerance tol, all in one breadth-first call.  The shadow-free
-    density has a square-root cusp where its arcsine argument reaches 1 (at
-    tau = l - knee); the segment ending there takes one more call, in the
-    variable s = sqrt(t_knee - tau), which removes the cusp.
+    absolute tolerance tol.  The shadow-free density has a square-root cusp
+    where its arcsine argument reaches 1 (at tau = l - knee); the segment
+    ending there, which absorbs any landmark within 1e-6 sigma below it, is
+    integrated in the variable s = sqrt(t_knee - tau), which removes the
+    cusp.  A sigma so small that the Gaussian's peak overflows raises
+    ValueError.  A one-point call of :func:`shadowed_pdf_conv_grid`.
     """
+    return float(shadowed_pdf_conv_grid(model, [l], tol)[0])
+
+
+def shadowed_pdf_conv_grid(model: DensityModel, l, tol: float = 1e-13) -> np.ndarray:
+    """:func:`shadowed_pdf_conv` at each loss of the 1-D array l.  Integral 2i
+    holds point i's plain segments and 2i + 1 its knee segment; ORACLE_CHUNK
+    points share one call of :func:`hexdrop.numerics.adaptive_simpson`, each
+    with the panels, caps and summation order of a call on its own."""
     p = model.pathloss
     sigma = p.sigma_psi
     if not sigma > 0.0:
         raise ValueError("shadowing deviation must be positive")
-
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # (tau/sigma)^2 = inf for a tiny sigma, and exp(-inf) = 0
-            gauss = np.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-        return gauss * pathloss_pdf(model, l - tau)
-
+    if not math.isfinite(1.0 / (math.sqrt(2.0 * math.pi) * sigma)):
+        raise ValueError(f"shadowing deviation {sigma} dB is too small for the convolution oracle: "
+                         "the Gaussian's peak 1/(sqrt(2 pi) sigma) overflows")
+    l = np.atleast_1d(np.asarray(l, dtype=float))
     t_low = l - model.max_loss_db  # below: shadow-free density is zero
     t_knee = l - model.knee_loss_db
     reach = GAUSS_REACH * sigma
-    upper = max(t_knee, 0.0) + reach
+    upper = np.maximum(t_knee, 0.0) + reach
     # drift of the Gaussian-exponential product peak in the circular branch
     peak = -2.0 * LN10 * sigma * sigma / p.beta
+    marks = np.array([[-reach, -6 * sigma, -3 * sigma, peak, 0.0, 3 * sigma, 6 * sigma, reach]])
+    # a landmark just below the knee would end a plain segment on the cusp
+    marks = np.where((marks > t_knee[:, None] - 1e-6 * sigma) & (marks < t_knee[:, None]), np.nan, marks)
+    cuts = np.column_stack([t_low, t_knee, upper, marks])
+    inside = (cuts >= np.maximum(t_low, -reach - abs(peak))[:, None]) & (cuts <= upper[:, None])
+    cuts = np.sort(np.where(inside, cuts, np.nan), axis=1)  # NaN last, so b > a skips it and repeats
+    out = np.zeros(l.size)
+    for start in range(0, l.size, ORACLE_CHUNK):
+        part = slice(start, start + ORACLE_CHUNK)
+        c, tk, loss = cuts[part], t_knee[part], l[part]
+        i, j = np.nonzero(c[:, 1:] > c[:, :-1])
+        a, b = c[i, j], c[i, j + 1]
+        knee = b == tk[i]
+        lo, hi = np.where(knee, 0.0, a), np.where(knee, np.sqrt(np.maximum(tk[i] - a, 0.0)), b)
 
-    cuts = {t_low, t_knee, upper, -reach, -6 * sigma, -3 * sigma, peak, 0.0, 3 * sigma, 6 * sigma, reach}
-    grid = np.array(sorted(c for c in cuts if max(t_low, -reach - abs(peak)) <= c <= upper))
-    a, b = grid[:-1], grid[1:]
-    plain = b != t_knee
-    total = adaptive_simpson(integrand, a[plain], b[plain], tol)
-    for x in a[~plain]:  # tau = t_knee - s^2 makes the cusp smooth in s
-        total += adaptive_simpson(lambda s: 2.0 * s * integrand(t_knee - s * s), 0.0, math.sqrt(t_knee - x), tol)
-    return total
+        def f(x, k):  # on the knee integrals (odd k), tau = t_knee - s^2 makes the cusp smooth in s
+            bend, at = (k % 2 == 1)[:, None], k // 2
+            tau = np.where(bend, tk[at, None] - x * x, x)
+            with np.errstate(over="ignore"):  # (tau/sigma)^2 = inf for a tiny sigma, and exp(-inf) = 0
+                gauss = np.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+            return np.where(bend, 2.0 * x, 1.0) * (gauss * pathloss_pdf(model, loss[at, None] - tau))
+
+        total = adaptive_simpson(f, lo, hi, 2 * i + knee, tol)
+        # each point's plain total plus its knee total, in the order of a call on its own
+        out[part] = np.bincount(np.arange(total.size) // 2, total, c.shape[0])
+    return out
 
 
 def exponent_merge_identity(model: DensityModel, l: float, tau: float) -> tuple[float, float]:

@@ -125,23 +125,23 @@ def _gauss_kronrod_rule(f, a, b, share, depth):
     return k, err, (err <= share * (b - a)) | (err <= GK_ROUNDING * np.abs(k)), mid
 
 
-def adaptive_simpson(f, lo, hi, tol: float) -> float:
-    """Integrate f over [lo, hi], or over each segment of equal-length
-    arrays lo and hi and sum, to absolute tolerance tol per segment.
+def adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, tol: float) -> np.ndarray:
+    """Integrate over [lo[i], hi[i]] into integral owner[i], for each i of
+    equal-length arrays, to absolute tolerance tol per integral, all in one
+    adaptive loop, and return the totals of integrals 0 to owner.max().
 
-    Adaptive Simpson with the 15x Richardson test and correction (Boole's
-    rule, exact on quintics), breadth-first: f maps an array of abscissae
-    to an array of values, called once per round on every open panel.
-    Raises ValueError unless tol > 0, and NonConvergenceError after
-    MAX_DEPTH bisection rounds or past GK_MAX_PANELS open panels.  It
-    serves only the convolution oracle, which thereby stays a different
-    method from the closed form.
+    f(x, k) is the integrand, as in :func:`gauss_kronrod`.  Adaptive Simpson
+    with the 15x Richardson test and correction (Boole's rule, exact on
+    quintics), breadth-first.  Raises ValueError unless tol > 0, and
+    NonConvergenceError after MAX_DEPTH bisection rounds or past
+    GK_MAX_PANELS open panels of one integral.  It serves only the
+    convolution oracle, which thereby stays a different method from the
+    closed form.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    a, b = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
-    one = np.zeros(a.size, dtype=int)  # every segment adds to integral 0
-    return float(_adapt(_simpson_rule, lambda x, k: f(x), a, b, np.array([tol]), one, "adaptive Simpson")[0])
+    share = np.full(np.max(owner, initial=-1) + 1, tol)
+    return _adapt(_simpson_rule, f, lo, hi, share, owner, "adaptive Simpson")
 
 
 def gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:

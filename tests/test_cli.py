@@ -440,16 +440,24 @@ def test_traced_replay_reports_every_layer(tmp_path):
     assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
 
 
-@pytest.mark.parametrize("sigma, code", [(1e-15, 2), (1e-155, 0)])
+VANISHING_SIGMA_ERRORS = {
+    1e-15: "error: adaptive Simpson did not reach its tolerance",
+    1e-320: "error: shadowing deviation 1e-320 dB is too small for the convolution oracle: "
+    "the Gaussian's peak 1/(sqrt(2 pi) sigma) overflows\n",
+}
+
+
+@pytest.mark.parametrize("sigma, code", [(1e-15, 2), (1e-155, 0), (1e-320, 2)])
 def test_oracle_at_a_vanishing_sigma(tmp_path, capsys, sigma, code):
     # at 1e-15 dB the oracle's Gaussian is too narrow for adaptive Simpson: a
     # NonConvergenceError is a usage error, not a failed verification; at
     # 1e-155 dB (tau/sigma)^2 overflows to inf and the Gaussian to 0 without
-    # a RuntimeWarning, which pytest would raise
+    # a RuntimeWarning, which pytest would raise; at a subnormal 1e-320 dB the
+    # Gaussian's peak overflows, and the oracle says so before it integrates
     path = tmp_path / "presets.json"
     path.write_text(json.dumps([dict(_GOOD_PRESET, sigma_psi_db=sigma)]), encoding="utf-8")
     argv = ["pdf", "--preset", "x", "--presets-file", str(path), "--side", "1000",
             "--from", "130", "--to", "139", "--step", "1", "--with-oracle", "--out", str(tmp_path / "d.csv")]
     assert run(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: adaptive Simpson did not reach its tolerance") if code else err == ""
+    assert err.startswith(VANISHING_SIGMA_ERRORS[sigma]) if code else err == ""

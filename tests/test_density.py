@@ -18,7 +18,14 @@ from hexdrop import (
     shadowed_pdf,
     shadowed_pdf_conv,
 )
-from hexdrop.density import GRID_CHUNK, _cdf_table, exponent_merge_identity, shadowed_pdf_grid
+from hexdrop.density import (
+    GRID_CHUNK,
+    ORACLE_CHUNK,
+    _cdf_table,
+    exponent_merge_identity,
+    shadowed_pdf_conv_grid,
+    shadowed_pdf_grid,
+)
 
 from conftest import PRESET_CASES, preset_model
 
@@ -108,7 +115,7 @@ def test_radial_law_limits(side):
     assert abs(pdf[2]) <= 1e-15 / side  # asin(sqrt(3)/2) - pi/3 is rounding
     assert cdf[0] == 0.0 and cdf[3] == 1.0 and cdf[4] == 1.0
     assert cdf[1] == pytest.approx(math.pi / (2.0 * SQRT3), rel=1e-15)
-    assert abs(cdf[2] - 1.0) <= 2.0 * np.spacing(1.0)
+    assert cdf[2] == 1.0
     assert [radial_pdf(side, float(x)) for x in r] == list(pdf)
     assert [radial_cdf(side, float(x)) for x in r] == list(cdf)
 
@@ -455,3 +462,42 @@ def test_grid_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("name,side", PRESET_CASES)
+def test_oracle_grid_matches_one_point_calls(name, side):
+    # three adaptive Simpson loops over the default pdf range give each point
+    # the panels and summation order of a loop of its own, bit for bit
+    m = preset_model(name, side)
+    p = m.pathloss
+    grid = np.linspace(m.knee_loss_db - max(6.0 * p.sigma_psi, 2.5 * p.beta), m.max_loss_db + 6.0 * p.sigma_psi,
+                       2 * ORACLE_CHUNK + 3)
+    assert list(shadowed_pdf_conv_grid(m, grid)) == [shadowed_pdf_conv(m, float(l)) for l in grid]
+
+
+def test_oracle_memory_does_not_grow_with_the_grid():
+    # the oracle runs ORACLE_CHUNK points per adaptive loop
+    m = preset_model("urban-micro-los", 250.0)
+    shadowed_pdf_conv_grid(m, np.array([90.0]))
+    for n in (3 * ORACLE_CHUNK, 10 * ORACLE_CHUNK):
+        tracemalloc.start()
+        try:
+            shadowed_pdf_conv_grid(m, np.linspace(50.0, 140.0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("name,side", [("urban-micro-los", 250.0), ("urban-macro", 1000.0)])
+def test_oracle_just_above_the_knee_and_a_landmark(name, side):
+    # with the landmark tau = 0 or tau = peak a hair below t_knee = l - knee,
+    # a plain segment would end on the square-root cusp and never converge;
+    # the cusp segment absorbs the landmark instead
+    m = preset_model(name, side)
+    p = m.pathloss
+    peak = -2.0 * LN10 * p.sigma_psi**2 / p.beta
+    grid = np.array([m.knee_loss_db + c + d for c in (0.0, peak) for d in (1e-14, 1e-13, 1e-12, 1e-11)])
+    oracle = shadowed_pdf_conv_grid(m, grid)
+    assert np.abs(oracle / shadowed_pdf_grid(m, grid, tol=1e-14) - 1.0).max() <= 2e-12
+

@@ -49,10 +49,16 @@ def test_q_matches_normal_tail_quadrature():
 # ------------------------------------------------------------- quadrature
 
 
+def adaptive_simpson_one(f, lo, hi, tol):
+    # one integral of f(x) over [lo, hi], or over each segment of arrays lo and hi, through the array form
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    return adaptive_simpson(lambda x, k: f(x), lo, hi, np.zeros(lo.size, dtype=int), tol)[0]
+
+
 def test_simpson_polynomials():
-    assert adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-10) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert adaptive_simpson_one(lambda x: x * x, 0.0, 1.0, 1e-10) == pytest.approx(1.0 / 3.0, abs=1e-10)
     # exact on cubics at the first level
-    assert adaptive_simpson(lambda x: x**3 - 2.0 * x + 1.0, 0.0, 2.0, 1e-6) == pytest.approx(
+    assert adaptive_simpson_one(lambda x: x**3 - 2.0 * x + 1.0, 0.0, 2.0, 1e-6) == pytest.approx(
         2.0, abs=1e-14
     )
 
@@ -65,23 +71,23 @@ def test_simpson_exact_on_quintics_in_one_round():
     lo, hi = np.array([-1.0, 0.0, 0.5]), np.array([0.0, 0.5, 2.0])
     exact = poly.integ()(2.0) - poly.integ()(-1.0)
     calls = []
-    val = adaptive_simpson(lambda x: (calls.append(x.shape), poly(x))[1], lo, hi, 1.0)
+    val = adaptive_simpson_one(lambda x: (calls.append(x.shape), poly(x))[1], lo, hi, 1.0)
     assert calls == [(3, 5)]
     assert val == pytest.approx(exact, rel=1e-14)
 
 
 def test_simpson_transcendentals():
-    assert adaptive_simpson(np.sin, 0.0, math.pi / 2.0, 1e-10) == pytest.approx(1.0, abs=1e-10)
-    gauss = adaptive_simpson(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-13)
+    assert adaptive_simpson_one(np.sin, 0.0, math.pi / 2.0, 1e-10) == pytest.approx(1.0, abs=1e-10)
+    gauss = adaptive_simpson_one(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-13)
     assert gauss == pytest.approx(SQRT_PI / 2.0, abs=1e-12)
 
 
 def test_simpson_edge_cases():
-    assert adaptive_simpson(np.sin, 1.0, 1.0, 1e-10) == 0.0
-    fwd = adaptive_simpson(lambda x: x, 0.0, 1.0, 1e-12)
-    assert adaptive_simpson(lambda x: x, 1.0, 0.0, 1e-12) == pytest.approx(-fwd, rel=1e-12)
+    assert adaptive_simpson_one(np.sin, 1.0, 1.0, 1e-10) == 0.0
+    fwd = adaptive_simpson_one(lambda x: x, 0.0, 1.0, 1e-12)
+    assert adaptive_simpson_one(lambda x: x, 1.0, 0.0, 1e-12) == pytest.approx(-fwd, rel=1e-12)
     with pytest.raises(ValueError):
-        adaptive_simpson(np.sin, 0.0, 1.0, 0.0)
+        adaptive_simpson_one(np.sin, 0.0, 1.0, 0.0)
 
 
 def test_simpson_depth_cap_signals_failure():
@@ -90,7 +96,7 @@ def test_simpson_depth_cap_signals_failure():
     calls = []
     step = lambda x: (calls.append(x.shape[0]), np.where(x < 1.0 / math.e, 0.0, 1.0))[1]
     with pytest.raises(NonConvergenceError):
-        adaptive_simpson(step, 0.0, 1.0, 1e-13)
+        adaptive_simpson_one(step, 0.0, 1.0, 1e-13)
     assert len(calls) == MAX_DEPTH + 1 and max(calls) <= 2
 
 
@@ -98,8 +104,30 @@ def test_simpson_panel_cap_signals_failure():
     # noise fails on every panel: the panel cap ends it before memory grows
     noise, calls = np.random.default_rng(0), []
     with pytest.raises(NonConvergenceError):
-        adaptive_simpson(lambda x: (calls.append(x.shape[0]), noise.random(x.shape))[1], 0.0, 1.0, 1e-13)
+        adaptive_simpson_one(lambda x: (calls.append(x.shape[0]), noise.random(x.shape))[1], 0.0, 1.0, 1e-13)
     assert max(calls) <= GK_MAX_PANELS and len(calls) <= 13
+
+
+def test_simpson_interleaved_owners_match_separate_calls():
+    # segments of three integrals in mixed order: each total is bit for bit
+    # the one a call of its own gives, since bincount adds in panel order
+    lo = np.array([0.0, 2.0, -1.0, 0.5, 3.0, -0.5])
+    hi = np.array([0.5, 3.0, -0.5, 2.0, 4.0, 0.0])
+    owner = np.array([0, 1, 2, 0, 1, 2])
+    f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
+    val = adaptive_simpson(lambda x, k: f(x), lo, hi, owner, 1e-13)
+    assert list(val) == [adaptive_simpson_one(f, lo[owner == k], hi[owner == k], 1e-13) for k in range(3)]
+
+
+def test_simpson_panel_cap_is_per_integral():
+    # integral 3 of 400 is noise: the others stay open for a round or two,
+    # far past GK_MAX_PANELS in all, and the error names integral 3's interval
+    lo, noise = np.arange(400.0), np.random.default_rng(0)
+    f = lambda x, k: np.where((k == 3)[:, None], noise.random(x.shape), np.cos(40.0 * x))
+    calls = []
+    with pytest.raises(NonConvergenceError, match=r"on \[3\.0, 4\.0\]: "):
+        adaptive_simpson(lambda x, k: (calls.append(x.shape[0]), f(x, k))[1], lo, lo + 1.0, np.arange(400), 1e-13)
+    assert max(calls) > GK_MAX_PANELS
 
 
 def gauss_kronrod_one(f, lo, hi, tol):
