@@ -246,7 +246,7 @@ def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> floa
     ending there, which absorbs any landmark within 1e-6 sigma below it, is
     integrated in the variable s = sqrt(t_knee - tau), which removes the
     cusp.  A sigma so small that the Gaussian's peak overflows raises
-    ValueError.  A one-point call of :func:`shadowed_pdf_conv_grid`.
+    ValueError; NaN gives NaN.  A one-point call of :func:`shadowed_pdf_conv_grid`.
     """
     return float(shadowed_pdf_conv_grid(model, [l], tol)[0])
 
@@ -295,7 +295,7 @@ def shadowed_pdf_conv_grid(model: DensityModel, l, tol: float = 1e-13) -> np.nda
         total = adaptive_simpson(f, lo, hi, 2 * i + knee, tol)
         # each point's plain total plus its knee total, in the order of a call on its own
         out[part] = np.bincount(np.arange(total.size) // 2, total, c.shape[0])
-    return out
+    return np.where(np.isnan(l), np.nan, out)  # a NaN point has only NaN cuts, so no segment
 
 
 def exponent_merge_identity(model: DensityModel, l: float, tau: float) -> tuple[float, float]:

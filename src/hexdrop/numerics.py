@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy import special
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -207,9 +206,10 @@ def _amp_erfc_diff(ln_amp: float, xi: float, s1: float, s2: float) -> float:
     up to the reflection erfc(-t) = 2 - erfc(t); for admissible parameters
     every exponent here is bounded even though e^(xi^2) alone overflows.
     """
+    from scipy.special import erfcx  # in function scope: no CLI command needs scipy
 
     def tail(s: float) -> float:
-        return math.exp(ln_amp + xi * xi - s * s + math.log(special.erfcx(abs(s))))
+        return math.exp(ln_amp + xi * xi - s * s + math.log(erfcx(abs(s))))
 
     if s1 >= 0.0:
         return tail(s1) - tail(s2)
@@ -280,8 +280,10 @@ def arcsine_gauss_integral(p: ArcsineGaussParams, method: str = "quadrature", to
         raise ValueError(f"arcsine argument exceeds 1 on the interval (max {top[top > 1.0 + ARG_CLAMP][0]:.6g})")
     arg_lo, arg_hi = np.minimum(arg_lo, 1.0), np.minimum(arg_hi, 1.0)
     if p.slope == 0.0:
+        from scipy.special import erf  # in function scope: no CLI command needs scipy
+
         # constant arcsine factor times the Gaussian mass of the interval
-        value = np.arcsin(arg_lo) * 0.5 * SQRT_PI * (special.erf(p.hi) - special.erf(p.lo))
+        value = np.arcsin(arg_lo) * 0.5 * SQRT_PI * (erf(p.hi) - erf(p.lo))
     elif method == "series":
         value = 0.0 if p.lo == p.hi else _series_value(p, tol)
     else:

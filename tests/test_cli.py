@@ -209,7 +209,7 @@ GOLDEN = [
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
          "--report", "report.json"],
         {
-            "report.json": "d81f9546d1c1f50e3159be482822499d23612bd82768611e9e133390ca4d829c",
+            "report.json": "7a2d2ae20ef7505f4448f161ab3b69117b820906e5ceba022b5e6b80f8f0988a",
             "report_samples.csv": "fd8884e624c126be75067675912a7bd1243b9e000628cb1ba0a132fd52d8d0cc",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
@@ -240,7 +240,7 @@ GOLDEN = [
         ["verify", "--shape", "rhombus120", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "b29eb7fcfda55977361af682c44bb7b3e2a9e5efef9830431e0c46c17ffe5eed",
+            "report.json": "a964eb1c1d9635cc8926e28e41f86cc635cdde2c0cd82689592c4f41525b70b6",
             "report_samples.csv": "25dd7062d2e18f82bafad5d5fdbc674450c71ff39b9d9936685644715f93049d",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
@@ -250,7 +250,7 @@ GOLDEN = [
         ["verify", "--shape", "triangle60", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "9c46d92f0aecbf8ac4f2c7d8c0b692ee56174ee40d6339eec928eaa0da46d19e",
+            "report.json": "91a7d6068fec2265680856cad1a33340865a8cb5dcf753faef240127f2685fea",
             "report_samples.csv": "fef89412a92e11ca61d0e03aed84b836640181aed339955be98144441780ee5e",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
@@ -267,11 +267,31 @@ def test_golden_bytes(tmp_path, monkeypatch, argv, digests):
     assert got == digests
 
 
-def test_cli_import_skips_scipy_stats():
+NO_SCIPY_COMMANDS = [
+    ["presets"],
+    ["pdf", "--preset", "urban-micro-los", "--side", "250", "--step", "1", "--out", "pdf.csv"],
+    ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95", "--step", "1",
+     "--with-oracle", "--out", "oracle.csv"],
+    ["sample", "--side", "1000", "--count", "500", "--out", "sample.csv"],
+    ["verify", "--side", "1000", "--count", "2000", "--report", "report.json"],
+]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # in a fresh interpreter: neither the import nor any command loads scipy
     env = dict(os.environ, PYTHONPATH=str(Path(hexdrop.__file__).resolve().parents[1]))
-    code = "import sys, hexdrop.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = f"""
+import sys
+from hexdrop.cli import main
+seen = [("import", "scipy" in sys.modules)]
+for argv in {NO_SCIPY_COMMANDS!r}:
+    seen.append((argv[0], main(argv), "scipy" in sys.modules))
+print(seen)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
+                         check=True)
+    expected = [("import", False)] + [(argv[0], 0, False) for argv in NO_SCIPY_COMMANDS]
+    assert out.stdout.splitlines()[-1] == str(expected)
 
 
 _GOOD_PRESET = {

@@ -419,6 +419,7 @@ NAN_CASES = {
     "marginal_x_cdf": lambda m, v: marginal_x_cdf(CellGeometry(CellShape.HEXAGON, m.side), v),
     "shadowed_pdf": shadowed_pdf,
     "shadowed_cdf": shadowed_cdf,
+    "shadowed_pdf_conv": shadowed_pdf_conv,
 }
 
 
@@ -473,6 +474,12 @@ def test_oracle_grid_matches_one_point_calls(name, side):
     grid = np.linspace(m.knee_loss_db - max(6.0 * p.sigma_psi, 2.5 * p.beta), m.max_loss_db + 6.0 * p.sigma_psi,
                        2 * ORACLE_CHUNK + 3)
     assert list(shadowed_pdf_conv_grid(m, grid)) == [shadowed_pdf_conv(m, float(l)) for l in grid]
+
+
+def test_oracle_grid_nan_point_leaves_the_others():
+    m = preset_model("urban-macro", 1000.0)
+    got = shadowed_pdf_conv_grid(m, [math.nan, 120.0])
+    assert math.isnan(got[0]) and got[1] == shadowed_pdf_conv(m, 120.0) > 0.0
 
 
 def test_oracle_memory_does_not_grow_with_the_grid():
