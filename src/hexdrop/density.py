@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BLOCK, check_side
-from .numerics import GK_PANELS, ArcsineGaussParams, adaptive_simpson, arcsine_gauss_integral, q_function
+from .geometry import check_side
+from .numerics import ArcsineGaussParams, arcsine_gauss_integral, gauss_kronrod, q_function
 from .pathloss import PathLossParams
 
 SQRT3 = math.sqrt(3.0)
@@ -47,11 +47,6 @@ GAUSS_REACH = 9.5
 # The distance-driven density has an exponential lower tail with rate
 # 2*ln10/beta per dB; 4.5*beta below its knee the remaining mass is ~1e-9.
 LOWER_TAIL_DECADES = 4.5
-
-# Points per adaptive loop of shadowed_pdf_grid: at most BLOCK abscissae (15 per panel) in its first pass.
-GRID_CHUNK = BLOCK // (GK_PANELS * 15)
-
-ORACLE_CHUNK = 32  # loss points per adaptive Simpson loop of shadowed_pdf_conv_grid
 
 # Nodes of the cumulative table behind shadowed_cdf; odd, so that
 # Simpson panels tile the grid.
@@ -182,10 +177,10 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
 
 def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
     """:func:`shadowed_pdf` at each loss of the 1-D array l.  mu, K(l), z_max
-    and z_knee are formed for all points at once, the integrals GRID_CHUNK
-    points per call of :func:`hexdrop.numerics.arcsine_gauss_integral`.  The
-    ValueError names the first finite l whose mu or K(l) is not finite, with
-    the error that Python's float arithmetic meets there."""
+    and z_knee are formed for all points at once, and the integrals in one
+    call of :func:`hexdrop.numerics.arcsine_gauss_integral`.  The ValueError
+    names the first finite l whose mu or K(l) is not finite, with the error
+    that Python's float arithmetic meets there."""
     p = model.pathloss
     sigma = p.sigma_psi
     if not sigma > 0.0:
@@ -219,13 +214,11 @@ def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
         lo = np.maximum(z_max / math.sqrt(2.0), -GAUSS_REACH)
         hi = np.minimum(z_knee / math.sqrt(2.0), np.maximum(lo, 0.0) + GAUSS_REACH)
         integral = np.zeros_like(l)
-        need = np.flatnonzero(hi > lo)
-        for a in range(0, need.size, GRID_CHUNK):
-            k = need[a : a + GRID_CHUNK]
-            params = ArcsineGaussParams(
-                SQRT3 * model.side / (2.0 * p.r0), mu[k] / p.beta, -math.sqrt(2.0) * sigma / p.beta, lo[k], hi[k]
-            )
-            integral[k] = arcsine_gauss_integral(params, tol=tol)
+        k = np.flatnonzero(hi > lo)
+        params = ArcsineGaussParams(
+            SQRT3 * model.side / (2.0 * p.r0), mu[k] / p.beta, -math.sqrt(2.0) * sigma / p.beta, lo[k], hi[k]
+        )
+        integral[k] = arcsine_gauss_integral(params, tol=tol)
         q_knee, q_max = (np.fromiter(map(q_function, z), float, l.size) for z in (z_knee, z_max))
         bracket = math.pi * q_knee - (2.0 * math.pi / 3.0) * q_max + (2.0 / math.sqrt(math.pi)) * integral
         return prefactor * bracket
@@ -233,29 +226,31 @@ def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
 
 def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> float:
     """Brute-force shadowed density: convolve the Gaussian with the
-    shadow-free density by adaptive Simpson quadrature.
+    shadow-free density by adaptive Gauss-Kronrod quadrature.
 
     The integrand in the shadowing variable tau is
     gaussian(tau) * pathloss_pdf(l - tau); it vanishes for
     tau < l - max_loss, switches branch at tau = l - knee and decays under
     the Gaussian envelope beyond +-9.5 sigma.  The integration range is
     split at those points (plus a few Gaussian landmarks, so the adaptive
-    rule cannot step over a narrow bump) and each piece integrated to the
-    absolute tolerance tol.  The shadow-free density has a square-root cusp
-    where its arcsine argument reaches 1 (at tau = l - knee); the segment
-    ending there, which absorbs any landmark within 1e-6 sigma below it, is
-    integrated in the variable s = sqrt(t_knee - tau), which removes the
-    cusp.  A sigma so small that the Gaussian's peak overflows raises
-    ValueError; NaN gives NaN.  A one-point call of :func:`shadowed_pdf_conv_grid`.
+    rule cannot step over a narrow bump) and each segment integrated to the
+    absolute tolerance tol, shared over its width.  The shadow-free density
+    has a square-root cusp where its arcsine argument reaches 1 (at
+    tau = l - knee); the segment ending there, which absorbs any landmark
+    within 1e-6 sigma below it, is integrated in the variable
+    s = sqrt(t_knee - tau), which removes the cusp.  This is direct
+    convolution in tau, not the closed form's Gaussian-arcsine integral in
+    v.  A sigma so small that the Gaussian's peak overflows raises
+    ValueError; NaN gives NaN.  A one-point call of
+    :func:`shadowed_pdf_conv_grid`.
     """
     return float(shadowed_pdf_conv_grid(model, [l], tol)[0])
 
 
 def shadowed_pdf_conv_grid(model: DensityModel, l, tol: float = 1e-13) -> np.ndarray:
-    """:func:`shadowed_pdf_conv` at each loss of the 1-D array l.  Integral 2i
-    holds point i's plain segments and 2i + 1 its knee segment; ORACLE_CHUNK
-    points share one call of :func:`hexdrop.numerics.adaptive_simpson`, each
-    with the panels, caps and summation order of a call on its own."""
+    """:func:`shadowed_pdf_conv` at each loss of the 1-D array l: every
+    point's segments go to one call of :func:`hexdrop.numerics.gauss_kronrod`,
+    one integral each, and are summed per point in their order."""
     p = model.pathloss
     sigma = p.sigma_psi
     if not sigma > 0.0:
@@ -276,26 +271,20 @@ def shadowed_pdf_conv_grid(model: DensityModel, l, tol: float = 1e-13) -> np.nda
     cuts = np.column_stack([t_low, t_knee, upper, marks])
     inside = (cuts >= np.maximum(t_low, -reach - abs(peak))[:, None]) & (cuts <= upper[:, None])
     cuts = np.sort(np.where(inside, cuts, np.nan), axis=1)  # NaN last, so b > a skips it and repeats
-    out = np.zeros(l.size)
-    for start in range(0, l.size, ORACLE_CHUNK):
-        part = slice(start, start + ORACLE_CHUNK)
-        c, tk, loss = cuts[part], t_knee[part], l[part]
-        i, j = np.nonzero(c[:, 1:] > c[:, :-1])
-        a, b = c[i, j], c[i, j + 1]
-        knee = b == tk[i]
-        lo, hi = np.where(knee, 0.0, a), np.where(knee, np.sqrt(np.maximum(tk[i] - a, 0.0)), b)
+    point, j = np.nonzero(cuts[:, 1:] > cuts[:, :-1])  # a NaN point has only NaN cuts, so no segment
+    a, b = cuts[point, j], cuts[point, j + 1]
+    knee = b == t_knee[point]
+    lo, hi = np.where(knee, 0.0, a), np.where(knee, np.sqrt(np.maximum(t_knee[point] - a, 0.0)), b)
 
-        def f(x, k):  # on the knee integrals (odd k), tau = t_knee - s^2 makes the cusp smooth in s
-            bend, at = (k % 2 == 1)[:, None], k // 2
-            tau = np.where(bend, tk[at, None] - x * x, x)
-            with np.errstate(over="ignore"):  # (tau/sigma)^2 = inf for a tiny sigma, and exp(-inf) = 0
-                gauss = np.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-            return np.where(bend, 2.0 * x, 1.0) * (gauss * pathloss_pdf(model, loss[at, None] - tau))
+    def f(x, k):  # on knee segments, tau = t_knee - s^2 makes the cusp smooth in s
+        bend, at = knee[k, None], point[k, None]
+        tau = np.where(bend, t_knee[at] - x * x, x)
+        with np.errstate(over="ignore"):  # (tau/sigma)^2 = inf for a tiny sigma, and exp(-inf) = 0
+            gauss = np.exp(-0.5 * (tau / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+        return np.where(bend, 2.0 * x, 1.0) * (gauss * pathloss_pdf(model, l[at] - tau))
 
-        total = adaptive_simpson(f, lo, hi, 2 * i + knee, tol)
-        # each point's plain total plus its knee total, in the order of a call on its own
-        out[part] = np.bincount(np.arange(total.size) // 2, total, c.shape[0])
-    return np.where(np.isnan(l), np.nan, out)  # a NaN point has only NaN cuts, so no segment
+    out = np.bincount(point, gauss_kronrod(f, lo, hi, tol), l.size)
+    return np.where(np.isnan(l), np.nan, out)
 
 
 def exponent_merge_identity(model: DensityModel, l: float, tau: float) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Special functions and integration used by the density evaluators.
 
-Four pieces: the Gaussian tail (Q) function, one breadth-first adaptive
-loop on arrays with two rule pairs, Gauss-Kronrod (G7/K15) for the closed
-form and Simpson for the convolution oracle (their callers smooth a
-square-root cusp by a substitution), and the integral
+Three pieces: the Gaussian tail (Q) function, one breadth-first adaptive
+Gauss-Kronrod (G7/K15) loop on arrays, which both the closed form and the
+convolution oracle integrate with (each smooths a square-root cusp by a
+substitution), and the integral
 
     I(k, a, b; x1, x2) = int_{x1}^{x2} exp(-x^2) * asin(k * 10^-(a + b x)) dx
 
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+
+from .geometry import BLOCK
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -49,6 +51,7 @@ _GK_NODES, _K15_WEIGHTS, _G7_WEIGHTS = np.array(
     [(-x, wk, wg) for x, wk, wg in _KRONROD_HALF] + [_GK_CENTRE] + list(reversed(_KRONROD_HALF))
 ).T
 GK_PANELS = 4  # panels of the first Gauss-Kronrod pass
+GK_BATCH = BLOCK // (GK_PANELS * 15)  # integrals per adaptive loop: at most BLOCK abscissae in its first pass
 _GK_EDGES = np.arange(GK_PANELS + 1) / GK_PANELS
 # A panel is accepted once |K - G| is within this share of |K| whatever
 # its share of tol: the pair then agrees to rounding.
@@ -71,18 +74,20 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / SQRT2)
 
 
-def _adapt(rule, f, a: np.ndarray, b: np.ndarray, share: np.ndarray, owner: np.ndarray, name: str) -> np.ndarray:
-    """Breadth-first adaptive quadrature of share.size integrals, panel [a, b]
-    of integral owner.  Each round, rule(g, a, b, tol, depth) gives every open
-    panel's value, error, acceptance at its integral's share of tol and midpoint
-    from one call g(x) = f(x, owner); accepted values go to their integral's
-    total, the rest are bisected.  Returns the totals; raises NonConvergenceError
-    after MAX_DEPTH rounds or past GK_MAX_PANELS open panels of one integral."""
+def _adapt(f, a: np.ndarray, b: np.ndarray, share: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The loop of :func:`gauss_kronrod` over one batch: panel [a, b] belongs
+    to integral owner, numbered from 0 within the batch, whose share of tol
+    per unit width is share[owner].  Returns the batch's totals."""
     first = a, b, owner
     total = np.zeros(share.size)
-    for depth in range(MAX_DEPTH + 1):
-        value, err, done, mid = rule(lambda x: f(x, owner), a, b, share[owner], depth)
-        total += np.bincount(owner[done], value[done], share.size)
+    for _ in range(MAX_DEPTH + 1):
+        half = 0.5 * (b - a)
+        mid = a + half
+        fx = f(mid[:, None] + half[:, None] * _GK_NODES, owner)
+        kronrod = half * (fx @ _K15_WEIGHTS)
+        err = np.abs(kronrod - half * (fx @ _G7_WEIGHTS))
+        done = (err <= share[owner] * (b - a)) | (err <= GK_ROUNDING * np.abs(kronrod))
+        total += np.bincount(owner[done], kronrod[done], share.size)
         if done.all():
             return total
         keep = ~done
@@ -96,74 +101,36 @@ def _adapt(rule, f, a: np.ndarray, b: np.ndarray, share: np.ndarray, owner: np.n
     k = left[err.argmax()]  # the integral with the largest open error
     lo, hi = first[0][first[2] == k].min(), first[1][first[2] == k].max()
     raise NonConvergenceError(
-        f"{name} did not reach its tolerance on [{lo}, {hi}]: "
+        f"Gauss-Kronrod did not reach its tolerance on [{lo}, {hi}]: "
         f"{int(np.count_nonzero(left == k))} panels unresolved, largest error estimate {err.max():.3e}"
     )
 
 
-def _simpson_rule(f, a, b, tol, depth):
-    # 3- and 5-point Simpson with the 15x Richardson test and correction, tol halving per bisection
-    m = 0.5 * (a + b)
-    fa, fl, fm, fr, fb = f(np.stack([a, 0.5 * (a + m), m, 0.5 * (m + b), b], axis=1)).T
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    halves = (m - a) / 6.0 * (fa + 4.0 * fl + fm) + (b - m) / 6.0 * (fm + 4.0 * fr + fb)
-    delta = halves - whole
-    err = np.abs(delta)
-    # second test: a correction at rounding level cannot be refined away
-    done = (err <= 15.0 * (tol * 0.5**depth)) | (err <= 1e-15 * np.abs(halves))
-    return halves + delta / 15.0, err, done, m
-
-
-def _gauss_kronrod_rule(f, a, b, share, depth):
-    # a panel's share of tol is share times its width, at any depth
-    half = 0.5 * (b - a)
-    mid = a + half
-    fx = f(mid[:, None] + half[:, None] * _GK_NODES)
-    k = half * (fx @ _K15_WEIGHTS)
-    err = np.abs(k - half * (fx @ _G7_WEIGHTS))
-    return k, err, (err <= share * (b - a)) | (err <= GK_ROUNDING * np.abs(k)), mid
-
-
-def adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, tol: float) -> np.ndarray:
-    """Integrate over [lo[i], hi[i]] into integral owner[i], for each i of
-    equal-length arrays, to absolute tolerance tol per integral, all in one
-    adaptive loop, and return the totals of integrals 0 to owner.max().
-
-    f(x, k) is the integrand, as in :func:`gauss_kronrod`.  Adaptive Simpson
-    with the 15x Richardson test and correction (Boole's rule, exact on
-    quintics), breadth-first.  Raises ValueError unless tol > 0, and
-    NonConvergenceError after MAX_DEPTH bisection rounds or past
-    GK_MAX_PANELS open panels of one integral.  It serves only the
-    convolution oracle, which thereby stays a different method from the
-    closed form.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    share = np.full(np.max(owner, initial=-1) + 1, tol)
-    return _adapt(_simpson_rule, f, lo, hi, share, owner, "adaptive Simpson")
-
-
 def gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Integrate over [lo[k], hi[k]] to absolute tolerance tol, for each k of
-    equal-length arrays with lo <= hi, all in one adaptive loop.
+    equal-length arrays with lo <= hi.
 
     f(x, k) maps an array of abscissae, row i belonging to integral k[i], to
-    an array of values.  Each round applies the G7/K15 pair to every open
-    panel in one call of f, starting from GK_PANELS equal panels per
-    integral, each with its width's share of tol; a panel is accepted when
-    |K - G| is within its share, or within GK_ROUNDING * |K|, and the others
-    are bisected.  Returns the sums of the accepted K15 values.  Raises
-    ValueError unless tol > 0, and NonConvergenceError after MAX_DEPTH
-    bisection rounds or past GK_MAX_PANELS open panels of one integral.
+    an array of values.  GK_BATCH integrals at a time share one adaptive
+    loop, so its first pass evaluates at most BLOCK abscissae.  Each round
+    applies the G7/K15 pair to every open panel in one call of f, starting
+    from GK_PANELS equal panels per integral, each with its width's share of
+    tol; a panel is accepted when |K - G| is within its share, or within
+    GK_ROUNDING * |K|, and the others are bisected.  Returns the sums of the
+    accepted K15 values.  Raises ValueError unless tol > 0, and
+    NonConvergenceError after MAX_DEPTH bisection rounds or past
+    GK_MAX_PANELS open panels of one integral.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    k = np.flatnonzero(lo != hi)
-    edges = lo[k, None] + (hi - lo)[k, None] * _GK_EDGES
-    with np.errstate(divide="ignore"):
-        share = tol / (hi - lo)
-    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    return _adapt(_gauss_kronrod_rule, f, a, b, share, np.repeat(k, GK_PANELS), "Gauss-Kronrod")
+    total = np.zeros(lo.size)
+    need = np.flatnonzero(lo != hi)
+    for start in range(0, need.size, GK_BATCH):
+        k = need[start : start + GK_BATCH]  # the batch's integrals, indexed 0 to k.size - 1 inside the loop
+        edges = lo[k, None] + (hi - lo)[k, None] * _GK_EDGES
+        share, owner = tol / (hi - lo)[k], np.repeat(np.arange(k.size), GK_PANELS)
+        total[k] = _adapt(lambda x, i: f(x, k[i]), edges[:, :-1].ravel(), edges[:, 1:].ravel(), share, owner)
+    return total
 
 
 @dataclass(frozen=True)
@@ -257,7 +224,7 @@ def arcsine_gauss_integral(p: ArcsineGaussParams, method: str = "quadrature", to
     one integral per element (quadrature only, else ValueError).
 
     method "quadrature" (authoritative path) integrates to absolute tolerance
-    tol by Gauss-Kronrod, all elements in one adaptive loop; where the
+    tol by Gauss-Kronrod, GK_BATCH elements per adaptive loop; where the
     argument passes 0.999 at an end, in the variable s of x = cusp -/+ s^2,
     since the arcsine has a square-root cusp where its argument reaches 1;
     method "series" sums the Taylor closed form, truncated once the next term

@@ -203,7 +203,7 @@ GOLDEN = [
     (
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--out", "pdf.csv"],
-        {"pdf.csv": "8b62878874fca6eab0d432020bea9284f61d43e1fab10be52a7dd08d9c8c4754"},
+        {"pdf.csv": "1e3bb183ee4379e7a4b294c2522c4093477060141190a2a7bcad1d8224a6d627"},
     ),
     (
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
@@ -219,7 +219,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "8b62878874fca6eab0d432020bea9284f61d43e1fab10be52a7dd08d9c8c4754",
+            "pdf.csv": "1e3bb183ee4379e7a4b294c2522c4093477060141190a2a7bcad1d8224a6d627",
             "pdf.csv.gp": "4b67b43ee2a4b9526e007a5db9345de59a164e0baee816b7831d21b2d0cc79de",
         },
     ),
@@ -460,24 +460,35 @@ def test_traced_replay_reports_every_layer(tmp_path):
     assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
 
 
-VANISHING_SIGMA_ERRORS = {
-    1e-15: "error: adaptive Simpson did not reach its tolerance",
-    1e-320: "error: shadowing deviation 1e-320 dB is too small for the convolution oracle: "
-    "the Gaussian's peak 1/(sqrt(2 pi) sigma) overflows\n",
-}
-
-
-@pytest.mark.parametrize("sigma, code", [(1e-15, 2), (1e-155, 0), (1e-320, 2)])
+@pytest.mark.parametrize("sigma, code", [(1e-15, 0), (1e-155, 0), (1e-320, 2)])
 def test_oracle_at_a_vanishing_sigma(tmp_path, capsys, sigma, code):
-    # at 1e-15 dB the oracle's Gaussian is too narrow for adaptive Simpson: a
-    # NonConvergenceError is a usage error, not a failed verification; at
-    # 1e-155 dB (tau/sigma)^2 overflows to inf and the Gaussian to 0 without
-    # a RuntimeWarning, which pytest would raise; at a subnormal 1e-320 dB the
-    # Gaussian's peak overflows, and the oracle says so before it integrates
+    # at 1e-15 dB the oracle's Gaussian is a spike that the landmark tau = 0
+    # pins down, and at 1e-155 dB (tau/sigma)^2 overflows to inf and the
+    # Gaussian to 0 without a RuntimeWarning, which pytest would raise: both
+    # give the shadow-free density; at a subnormal 1e-320 dB the Gaussian's
+    # peak overflows, and the oracle says so before it integrates
     path = tmp_path / "presets.json"
     path.write_text(json.dumps([dict(_GOOD_PRESET, sigma_psi_db=sigma)]), encoding="utf-8")
     argv = ["pdf", "--preset", "x", "--presets-file", str(path), "--side", "1000",
             "--from", "130", "--to", "139", "--step", "1", "--with-oracle", "--out", str(tmp_path / "d.csv")]
     assert run(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith(VANISHING_SIGMA_ERRORS[sigma]) if code else err == ""
+    if code:
+        assert err == ("error: shadowing deviation 1e-320 dB is too small for the convolution oracle: "
+                       "the Gaussian's peak 1/(sqrt(2 pi) sigma) overflows\n")
+        return
+    assert err == ""
+    l, _, oracle = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1).T
+    model = hexdrop.load_preset("x", tmp_path / "presets.json").density_model(1000.0)
+    assert np.abs(oracle / hexdrop.pathloss_pdf(model, l) - 1.0).max() <= 1e-15
+
+
+def test_oracle_non_convergence_is_usage_error(tmp_path, capsys, monkeypatch):
+    def unresolved(*args):
+        raise hexdrop.NonConvergenceError("Gauss-Kronrod did not reach its tolerance on [0.0, 1.0]")
+
+    monkeypatch.setattr(hexdrop.cli, "shadowed_pdf_conv_grid", unresolved)
+    argv = ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
+            "--with-oracle", "--out", str(tmp_path / "d.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: Gauss-Kronrod did not reach its tolerance on [0.0, 1.0]\n"

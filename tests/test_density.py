@@ -19,13 +19,12 @@ from hexdrop import (
     shadowed_pdf_conv,
 )
 from hexdrop.density import (
-    GRID_CHUNK,
-    ORACLE_CHUNK,
     _cdf_table,
     exponent_merge_identity,
     shadowed_pdf_conv_grid,
     shadowed_pdf_grid,
 )
+from hexdrop.numerics import GK_BATCH
 
 from conftest import PRESET_CASES, preset_model
 
@@ -212,18 +211,18 @@ def test_closed_form_matches_convolution(name, side):
 
 
 # shadowed_pdf_conv at 12 evenly spaced losses from knee - 3 sigma to
-# max + 6 sigma, as the depth-first recursive Simpson rule gave them: the
-# breadth-first rule bisects the same panels and may move only the rounding
+# max + 6 sigma, as the Gauss-Kronrod loop gives them; each is within
+# 1.3e-14 of the closed form at tol 1e-14
 PINNED_ORACLE = {
     ("urban-micro-los", 250.0): [
-        0.024448620540351247, 0.042479033472879235, 0.06298363540996896, 0.06740433645360129,
-        0.04486254687594221, 0.016851154686154772, 0.003378300193119897, 0.00035024914168078805,
-        1.8433373390548537e-05, 4.868099727913183e-07, 6.401846021926411e-09, 4.16945767699962e-11,
+        0.024448620540136124, 0.04247903347248725, 0.06298363540985277, 0.06740433645358772,
+        0.04486254687594119, 0.016851154686153832, 0.0033783001931175284, 0.00035024914167982365,
+        1.8433373389083488e-05, 4.868099702039541e-07, 6.401842477691578e-09, 4.1694517124784167e-11,
     ],
     ("urban-macro", 1000.0): [
-        0.005256657449263506, 0.013525002435233763, 0.02641074788721111, 0.03360287893865975,
-        0.025045617679285242, 0.01026859490673671, 0.0022342802927744136, 0.00025265453323674995,
-        1.4660175864992992e-05, 4.329407158828052e-07, 6.471739194055757e-09, 4.877723492567475e-11,
+        0.005256657449261549, 0.013525002435229668, 0.02641074788719923, 0.0336028789386394,
+        0.025045617679224298, 0.010268594906555925, 0.002234280292230217, 0.0002526545332167024,
+        1.466017586224236e-05, 4.329407151651793e-07, 6.471737275123424e-09, 4.878216657368018e-11,
     ],
 }
 
@@ -259,27 +258,31 @@ def test_upper_tail_matches_quad_convolution(name, side):
     # every 0.1 dB from max + 3 sigma to the end of the default pdf range at
     # max + 6 sigma, where the density is orders of magnitude below the
     # integral's absolute tolerance; then every sigma / 2 on to max + 16
-    # sigma, past where the integral's window once left the interval
+    # sigma, past where the integral's window once left the interval; the
+    # convolution oracle over the default range
     m = preset_model(name, side)
     sig = m.pathloss.sigma_psi
     default_range = m.max_loss_db + 3.0 * sig + 0.1 * np.arange(round(3.0 * sig / 0.1) + 1)
     far = m.max_loss_db + sig * np.arange(6.5, 16.01, 0.5)
-    worst = max(
-        abs(shadowed_pdf(m, l) / _quad_convolution(m, l) - 1.0) for l in np.concatenate([default_range, far])
-    )
+    ref = np.array([_quad_convolution(m, l) for l in np.concatenate([default_range, far])])
+    worst = max(abs(shadowed_pdf(m, l) / r - 1.0) for l, r in zip(np.concatenate([default_range, far]), ref))
     assert worst <= 1e-8
+    assert np.abs(shadowed_pdf_conv_grid(m, default_range) / ref[: default_range.size] - 1.0).max() <= 1e-8
 
 
 @pytest.mark.parametrize("sigma", [0.1, 1.0])
 @pytest.mark.parametrize("name,side", [("urban-macro", 1000.0), ("urban-micro-los", 250.0)])
 def test_small_sigma_matches_quad_convolution(name, side, sigma):
     # over the default pdf range, where a Gaussian this narrow is a spike
-    # that an unsplit quad from -inf misses
+    # that an unsplit quad from -inf misses; the closed form and the oracle
     pre = preset_model(name, side).pathloss
     m = DensityModel(side, PathLossParams(pre.alpha, pre.beta, pre.r0, sigma))
     lo = m.knee_loss_db - max(6.0 * sigma, 2.5 * pre.beta)
-    for l in np.linspace(lo, m.max_loss_db + 6.0 * sigma, 25):
-        assert shadowed_pdf(m, l) == pytest.approx(_quad_convolution(m, l), rel=1e-10, abs=0.0)
+    grid = np.linspace(lo, m.max_loss_db + 6.0 * sigma, 25)
+    ref = np.array([_quad_convolution(m, l) for l in grid])
+    for l, r in zip(grid, ref):
+        assert shadowed_pdf(m, l) == pytest.approx(r, rel=1e-10, abs=0.0)
+    assert shadowed_pdf_conv_grid(m, grid) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("sigma", [32.0, 64.0, 200.0])
@@ -436,7 +439,7 @@ def test_grid_matches_one_point_calls(name, side):
     m = preset_model(name, side)
     p = m.pathloss
     grid = np.linspace(m.knee_loss_db - max(6.0 * p.sigma_psi, 2.5 * p.beta), m.max_loss_db + 6.0 * p.sigma_psi,
-                       2 * GRID_CHUNK + 3)
+                       2 * GK_BATCH + 3)
     one = np.array([shadowed_pdf(m, float(l)) for l in grid])
     assert np.abs(shadowed_pdf_grid(m, grid) / one - 1.0).max() <= 2e-15
 
@@ -451,11 +454,11 @@ def test_grid_overflow_names_the_first_point_out_of_range():
 
 
 def test_grid_memory_does_not_grow_with_the_grid():
-    # the integrals run GRID_CHUNK points at a time, so the first pass of
+    # the integrals run GK_BATCH points at a time, so the first pass of
     # each loop evaluates at most BLOCK abscissae whatever the grid length
     m = preset_model("urban-micro-los", 250.0)
     shadowed_pdf_grid(m, np.array([90.0]))
-    for n in (3 * GRID_CHUNK, 9 * GRID_CHUNK):
+    for n in (3 * GK_BATCH, 9 * GK_BATCH):
         tracemalloc.start()
         try:
             shadowed_pdf_grid(m, np.linspace(50.0, 140.0, n))
@@ -467,13 +470,16 @@ def test_grid_memory_does_not_grow_with_the_grid():
 
 @pytest.mark.parametrize("name,side", PRESET_CASES)
 def test_oracle_grid_matches_one_point_calls(name, side):
-    # three adaptive Simpson loops over the default pdf range give each point
-    # the panels and summation order of a loop of its own, bit for bit
+    # about 6 segments per point over the default pdf range, so three or
+    # four Gauss-Kronrod loops; each segment keeps the panels of a loop of
+    # its own and each point its summation order, up to the rounding of the
+    # matrix-vector product in the last rows of a call
     m = preset_model(name, side)
     p = m.pathloss
     grid = np.linspace(m.knee_loss_db - max(6.0 * p.sigma_psi, 2.5 * p.beta), m.max_loss_db + 6.0 * p.sigma_psi,
-                       2 * ORACLE_CHUNK + 3)
-    assert list(shadowed_pdf_conv_grid(m, grid)) == [shadowed_pdf_conv(m, float(l)) for l in grid]
+                       GK_BATCH // 2 + 3)
+    one = np.array([shadowed_pdf_conv(m, float(l)) for l in grid])
+    assert np.abs(shadowed_pdf_conv_grid(m, grid) / one - 1.0).max() <= 2e-15
 
 
 def test_oracle_grid_nan_point_leaves_the_others():
@@ -483,10 +489,12 @@ def test_oracle_grid_nan_point_leaves_the_others():
 
 
 def test_oracle_memory_does_not_grow_with_the_grid():
-    # the oracle runs ORACLE_CHUNK points per adaptive loop
+    # the integrand runs GK_BATCH segments per loop, about GK_BATCH / 5
+    # points on this grid, so these grids take 3 and 10 loops; only the
+    # segment arrays, a few floats per segment, grow with the grid
     m = preset_model("urban-micro-los", 250.0)
     shadowed_pdf_conv_grid(m, np.array([90.0]))
-    for n in (3 * ORACLE_CHUNK, 10 * ORACLE_CHUNK):
+    for n in (3 * GK_BATCH // 5, 2 * GK_BATCH):
         tracemalloc.start()
         try:
             shadowed_pdf_conv_grid(m, np.linspace(50.0, 140.0, n))

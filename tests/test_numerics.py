@@ -14,10 +14,10 @@ from hexdrop import (
 from hexdrop.numerics import (
     GK_MAX_PANELS,
     GK_PANELS,
+    GK_BATCH,
     MAX_DEPTH,
     _log_asin_taylor_coeff,
     _series_value,
-    adaptive_simpson,
     gauss_kronrod,
     q_function,
 )
@@ -49,87 +49,6 @@ def test_q_matches_normal_tail_quadrature():
 # ------------------------------------------------------------- quadrature
 
 
-def adaptive_simpson_one(f, lo, hi, tol):
-    # one integral of f(x) over [lo, hi], or over each segment of arrays lo and hi, through the array form
-    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
-    return adaptive_simpson(lambda x, k: f(x), lo, hi, np.zeros(lo.size, dtype=int), tol)[0]
-
-
-def test_simpson_polynomials():
-    assert adaptive_simpson_one(lambda x: x * x, 0.0, 1.0, 1e-10) == pytest.approx(1.0 / 3.0, abs=1e-10)
-    # exact on cubics at the first level
-    assert adaptive_simpson_one(lambda x: x**3 - 2.0 * x + 1.0, 0.0, 2.0, 1e-6) == pytest.approx(
-        2.0, abs=1e-14
-    )
-
-
-def test_simpson_exact_on_quintics_in_one_round():
-    # the Simpson pair plus its Richardson correction is Boole's rule, exact
-    # to degree 5: a first round accepted on a loose tol, from one call of f
-    # on every segment at once, already carries the exact value
-    poly = np.polynomial.Polynomial(np.random.default_rng(5).normal(size=6))
-    lo, hi = np.array([-1.0, 0.0, 0.5]), np.array([0.0, 0.5, 2.0])
-    exact = poly.integ()(2.0) - poly.integ()(-1.0)
-    calls = []
-    val = adaptive_simpson_one(lambda x: (calls.append(x.shape), poly(x))[1], lo, hi, 1.0)
-    assert calls == [(3, 5)]
-    assert val == pytest.approx(exact, rel=1e-14)
-
-
-def test_simpson_transcendentals():
-    assert adaptive_simpson_one(np.sin, 0.0, math.pi / 2.0, 1e-10) == pytest.approx(1.0, abs=1e-10)
-    gauss = adaptive_simpson_one(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-13)
-    assert gauss == pytest.approx(SQRT_PI / 2.0, abs=1e-12)
-
-
-def test_simpson_edge_cases():
-    assert adaptive_simpson_one(np.sin, 1.0, 1.0, 1e-10) == 0.0
-    fwd = adaptive_simpson_one(lambda x: x, 0.0, 1.0, 1e-12)
-    assert adaptive_simpson_one(lambda x: x, 1.0, 0.0, 1e-12) == pytest.approx(-fwd, rel=1e-12)
-    with pytest.raises(ValueError):
-        adaptive_simpson_one(np.sin, 0.0, 1.0, 0.0)
-
-
-def test_simpson_depth_cap_signals_failure():
-    # a jump keeps one panel open every round: the round cap ends it after
-    # MAX_DEPTH bisections, with at most two panels evaluated at once
-    calls = []
-    step = lambda x: (calls.append(x.shape[0]), np.where(x < 1.0 / math.e, 0.0, 1.0))[1]
-    with pytest.raises(NonConvergenceError):
-        adaptive_simpson_one(step, 0.0, 1.0, 1e-13)
-    assert len(calls) == MAX_DEPTH + 1 and max(calls) <= 2
-
-
-def test_simpson_panel_cap_signals_failure():
-    # noise fails on every panel: the panel cap ends it before memory grows
-    noise, calls = np.random.default_rng(0), []
-    with pytest.raises(NonConvergenceError):
-        adaptive_simpson_one(lambda x: (calls.append(x.shape[0]), noise.random(x.shape))[1], 0.0, 1.0, 1e-13)
-    assert max(calls) <= GK_MAX_PANELS and len(calls) <= 13
-
-
-def test_simpson_interleaved_owners_match_separate_calls():
-    # segments of three integrals in mixed order: each total is bit for bit
-    # the one a call of its own gives, since bincount adds in panel order
-    lo = np.array([0.0, 2.0, -1.0, 0.5, 3.0, -0.5])
-    hi = np.array([0.5, 3.0, -0.5, 2.0, 4.0, 0.0])
-    owner = np.array([0, 1, 2, 0, 1, 2])
-    f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
-    val = adaptive_simpson(lambda x, k: f(x), lo, hi, owner, 1e-13)
-    assert list(val) == [adaptive_simpson_one(f, lo[owner == k], hi[owner == k], 1e-13) for k in range(3)]
-
-
-def test_simpson_panel_cap_is_per_integral():
-    # integral 3 of 400 is noise: the others stay open for a round or two,
-    # far past GK_MAX_PANELS in all, and the error names integral 3's interval
-    lo, noise = np.arange(400.0), np.random.default_rng(0)
-    f = lambda x, k: np.where((k == 3)[:, None], noise.random(x.shape), np.cos(40.0 * x))
-    calls = []
-    with pytest.raises(NonConvergenceError, match=r"on \[3\.0, 4\.0\]: "):
-        adaptive_simpson(lambda x, k: (calls.append(x.shape[0]), f(x, k))[1], lo, lo + 1.0, np.arange(400), 1e-13)
-    assert max(calls) > GK_MAX_PANELS
-
-
 def gauss_kronrod_one(f, lo, hi, tol):
     # one integral of f(x) over [lo, hi] through the array form
     return gauss_kronrod(lambda x, k: f(x), np.array([lo]), np.array([hi]), tol)[0]
@@ -159,37 +78,53 @@ def test_gauss_kronrod_edge_cases():
 
 def test_gauss_kronrod_caps_signal_failure():
     # a jump never meets its panel's share of tol: the round cap ends it
+    # after MAX_DEPTH bisections, with at most the first pass's panels at once
+    calls = []
+    step = lambda x: (calls.append(x.shape[0]), np.where(x < 1.0 / math.e, 0.0, 1.0))[1]
     with pytest.raises(NonConvergenceError):
-        gauss_kronrod_one(lambda x: np.where(x < 1.0 / math.e, 0.0, 1.0), 0.0, 1.0, 1e-13)
+        gauss_kronrod_one(step, 0.0, 1.0, 1e-13)
+    assert len(calls) == MAX_DEPTH + 1 and max(calls) <= GK_PANELS
     # noise fails on every panel: the panel cap ends it before memory grows
-    noise = np.random.default_rng(0)
+    noise, calls = np.random.default_rng(0), []
     with pytest.raises(NonConvergenceError):
-        gauss_kronrod_one(lambda x: noise.random(x.shape), 0.0, 1.0, 1e-13)
+        gauss_kronrod_one(lambda x: (calls.append(x.shape[0]), noise.random(x.shape))[1], 0.0, 1.0, 1e-13)
+    assert max(calls) <= GK_MAX_PANELS and len(calls) <= 11
 
 
 def test_gauss_kronrod_batch_caps_panels_per_integral():
-    # 2000 integrals of an oscillation, bisected twice: 8000 first-pass
-    # panels and then far more than GK_MAX_PANELS open at once in all, but
-    # only 16 per integral
+    # 2000 integrals of an oscillation, bisected twice: GK_BATCH of them per
+    # loop, so GK_BATCH * GK_PANELS first-pass panels and then far more than
+    # GK_MAX_PANELS open at once in all, but only 16 per integral
     lo = np.linspace(-4.0, 3.0, 2000)
     calls = []
     val = gauss_kronrod(lambda x, k: (calls.append(x.shape[0]), np.cos(40.0 * x))[1], lo, lo + 1.0, 1e-13)
-    assert calls[0] == 2000 * GK_PANELS and max(calls) > GK_MAX_PANELS
+    assert calls[0] == GK_BATCH * GK_PANELS and max(calls) > GK_MAX_PANELS
     assert np.abs(val - (np.sin(40.0 * (lo + 1.0)) - np.sin(40.0 * lo)) / 40.0).max() <= 1e-14
 
 
 def test_gauss_kronrod_batch_names_the_integral_that_fails():
-    # integral 7 of 2000 is noise; the others are smooth and converge
+    # integral 7 of 2000, in the first loop, and then integral GK_BATCH + 7,
+    # in the second, is noise; the others are smooth and converge, and the
+    # error names the noisy integral's interval
     lo, noise = np.arange(2000.0), np.random.default_rng(0)
-    f = lambda x, k: np.where((k == 7)[:, None], noise.random(x.shape), np.cos(x))
-    with pytest.raises(NonConvergenceError, match=r"on \[7\.0, 8\.0\]: "):
-        gauss_kronrod(f, lo, lo + 1.0, 1e-13)
+    for bad in (7, GK_BATCH + 7):
+        f = lambda x, k: np.where((k == bad)[:, None], noise.random(x.shape), np.cos(x))
+        with pytest.raises(NonConvergenceError, match=rf"on \[{bad}\.0, {bad + 1}\.0\]: "):
+            gauss_kronrod(f, lo, lo + 1.0, 1e-13)
 
 
 def test_gauss_kronrod_batch_matches_one_at_a_time():
-    lo, hi = np.array([0.0, 1.0, 2.0, -1.0]), np.array([1.0, 1.0, 5.0, 0.5])
-    val = gauss_kronrod(lambda x, k: np.sin(x) * np.exp(-x * x), lo, hi, 1e-13)
-    one = [gauss_kronrod_one(lambda x: np.sin(x) * np.exp(-x * x), a, b, 1e-13) for a, b in zip(lo, hi)]
+    # GK_BATCH + 20 integrals, 12 of zero width, so two loops: each one what
+    # a call of its own gives, its index k included, to the rounding of the
+    # matrix-vector product, which BLAS may round differently in the last
+    # rows of a call
+    rng = np.random.default_rng(17)
+    lo = rng.uniform(-3.0, 3.0, GK_BATCH + 20)
+    hi = np.where(np.arange(lo.size) % 97 == 1, lo, lo + rng.uniform(0.0, 4.0, lo.size))
+    assert np.count_nonzero(hi > lo) > GK_BATCH
+    f = lambda x, k: np.sin((1.0 + 0.001 * k[:, None]) * x) * np.exp(-x * x)
+    val = gauss_kronrod(f, lo, hi, 1e-13)
+    one = [gauss_kronrod(lambda x, k: f(x, k + i), lo[i : i + 1], hi[i : i + 1], 1e-13)[0] for i in range(lo.size)]
     assert val[1] == 0.0 and val == pytest.approx(one, rel=1e-14, abs=1e-16)
 
 
