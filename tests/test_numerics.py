@@ -76,7 +76,11 @@ def test_gauss_kronrod_edge_cases():
         gauss_kronrod_one(np.sin, 0.0, 1.0, 0.0)
 
 
-def test_gauss_kronrod_caps_signal_failure():
+# The loop's caps and its sums per integral; the test_simpson_* names are
+# kept from when the loop also ran an adaptive Simpson rule.
+
+
+def test_simpson_depth_cap_signals_failure():
     # a jump never meets its panel's share of tol: the round cap ends it
     # after MAX_DEPTH bisections, with at most the first pass's panels at once
     calls = []
@@ -84,11 +88,50 @@ def test_gauss_kronrod_caps_signal_failure():
     with pytest.raises(NonConvergenceError):
         gauss_kronrod_one(step, 0.0, 1.0, 1e-13)
     assert len(calls) == MAX_DEPTH + 1 and max(calls) <= GK_PANELS
+
+
+def test_simpson_panel_cap_signals_failure():
     # noise fails on every panel: the panel cap ends it before memory grows
     noise, calls = np.random.default_rng(0), []
     with pytest.raises(NonConvergenceError):
         gauss_kronrod_one(lambda x: (calls.append(x.shape[0]), noise.random(x.shape))[1], 0.0, 1.0, 1e-13)
     assert max(calls) <= GK_MAX_PANELS and len(calls) <= 11
+
+
+def test_simpson_interleaved_owners_match_separate_calls():
+    # segments of three integrals in mixed order, summed per integral by
+    # bincount as the oracle sums its segments per point: each total is the
+    # one a call of its own gives, to the rounding of the matrix-vector
+    # product, which BLAS may round differently by row
+    lo = np.array([0.0, 2.0, -1.0, 0.5, 3.0, -0.5])
+    hi = np.array([0.5, 3.0, -0.5, 2.0, 4.0, 0.0])
+    owner = np.array([0, 1, 2, 0, 1, 2])
+    f = lambda x, k: np.exp(-x * x) * np.cos(3.0 * x)
+    val = np.bincount(owner, gauss_kronrod(f, lo, hi, 1e-13), 3)
+    one = [gauss_kronrod(f, lo[owner == k], hi[owner == k], 1e-13).sum() for k in range(3)]
+    assert val == pytest.approx(one, rel=1e-14, abs=1e-16)
+
+
+def test_simpson_panel_cap_is_per_integral():
+    # integral 3 of 400 is noise: the others stay open for a round or two,
+    # far past GK_MAX_PANELS in all, and the error names integral 3's interval
+    lo, noise = np.arange(400.0), np.random.default_rng(0)
+    f = lambda x, k: np.where((k == 3)[:, None], noise.random(x.shape), np.cos(40.0 * x))
+    calls = []
+    with pytest.raises(NonConvergenceError, match=r"on \[3\.0, 4\.0\]: "):
+        gauss_kronrod(lambda x, k: (calls.append(x.shape[0]), f(x, k))[1], lo, lo + 1.0, 1e-13)
+    assert max(calls) > GK_MAX_PANELS
+
+
+def test_gauss_kronrod_caps_signal_failure():
+    # a jump in integral 2 of 50 smooth ones: the others close on the first
+    # pass, and the round cap ends the jump's own panels after MAX_DEPTH
+    # bisections, naming its interval
+    lo, calls = np.arange(50.0), []
+    f = lambda x, k: np.where((k == 2)[:, None], np.where(x < 2.0 + 1.0 / math.e, 0.0, 1.0), np.cos(x))
+    with pytest.raises(NonConvergenceError, match=r"on \[2\.0, 3\.0\]: "):
+        gauss_kronrod(lambda x, k: (calls.append(x.shape[0]), f(x, k))[1], lo, lo + 1.0, 1e-13)
+    assert len(calls) == MAX_DEPTH + 1 and calls[0] == 50 * GK_PANELS and max(calls[1:]) <= GK_PANELS
 
 
 def test_gauss_kronrod_batch_caps_panels_per_integral():
