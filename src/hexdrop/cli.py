@@ -151,13 +151,14 @@ def _write_gnuplot(script: Path, setup: list[str], plot: list[str]) -> None:
 def _cmd_verify(args) -> int:
     model, preset = _resolve_model(args)
     geom = CellGeometry(CellShape(args.shape), args.side)
-    report, table = run_verification(geom, model, preset.name, args.count, args.seed)
+    report = run_verification(geom, model, preset.name, args.count, args.seed)
     report.write(args.report)
     if args.gnuplot:
         stem = Path(args.report)
         samples_csv = stem.with_name(stem.stem + "_samples.csv")
         curve_csv = stem.with_name(stem.stem + "_curve.csv")
-        write_samples_csv(samples_csv, table)
+        # the same seed draws the same terminals again, row for row
+        write_samples_csv(samples_csv, run_drop(geom, model.pathloss, args.count, args.seed))
         lo, hi = _default_range(model)
         grid = np.linspace(lo, hi, 801)
         write_density_csv(curve_csv, grid, shadowed_pdf_grid(model, grid))

@@ -1,9 +1,9 @@
 """Monte Carlo verification: drops, goodness-of-fit tests, reports.
 
-The pipeline drops n terminals in a cell, computes each row's separation
-and losses, then checks the loss sample against the closed-form CDF with
-a one-sample KS test and the spatial sample against uniformity with a
-chi-square test over equal-area bins.
+The pipeline drops n terminals in a cell and fills their losses block by
+block, without tabulating the drop; it checks the positions against
+uniformity with a chi-square test over equal-area bins, frees them, then
+checks the losses against the closed-form CDF with a one-sample KS test.
 """
 
 from __future__ import annotations
@@ -256,22 +256,30 @@ def run_verification(
     preset_name: str,
     count: int,
     seed: int,
-) -> tuple[VerifyReport, DropTable]:
-    """Drop terminals, KS-test the losses, chi-square-test the positions."""
-    table = run_drop(geom, model.pathloss, count, seed)
-    ks = ks_test(table.lp, lambda v: shadowed_cdf(model, v))
-    chi2 = spatial_chi_square(geom, table.xy)
-    report = VerifyReport(
-        preset=preset_name,
-        shape=geom.shape.value,
-        side_m=geom.side,
-        count=count,
-        seed=seed,
-        ks_statistic=ks.statistic,
-        ks_critical=ks.critical,
-        chi2_statistic=chi2.statistic,
-        chi2_bins=chi2.bins,
-        chi2_critical=chi2.critical,
-        passed=ks.passed and chi2.passed,
+) -> VerifyReport:
+    """Drop terminals, chi-square-test the positions, KS-test the losses.
+
+    The stream is consumed as in :func:`run_drop` (count x-uniforms, count
+    y-uniforms, count normals), so the losses are run_drop(...).lp bit for
+    bit, but no DropTable is built: lp is filled BLOCK rows at a time from
+    the positions, and the positions are freed before the KS test sorts
+    its copy of lp.  At most three float columns per terminal are alive.
+    """
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
+    pl = model.pathloss
+    stream = VariateStream(seed)
+    xy = sample_points(geom, stream, count)
+    lp = np.empty(count)
+    for a in range(0, count, BLOCK):
+        rows = slice(a, a + BLOCK)
+        w = mean_pathloss(pl, np.hypot(xy[rows, 0], xy[rows, 1]))
+        lp[rows] = w + pl.sigma_psi * stream.normals(len(w))
+    chi2 = spatial_chi_square(geom, xy)
+    del xy
+    ks = ks_test(lp, lambda v: shadowed_cdf(model, v))
+    return VerifyReport(
+        preset=preset_name, shape=geom.shape.value, side_m=geom.side, count=count, seed=seed,
+        ks_statistic=ks.statistic, ks_critical=ks.critical, chi2_statistic=chi2.statistic,
+        chi2_bins=chi2.bins, chi2_critical=chi2.critical, passed=ks.passed and chi2.passed,
     )
-    return report, table

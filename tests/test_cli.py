@@ -171,6 +171,17 @@ def test_verify_gnuplot_outputs(tmp_path):
     assert (tmp_path / "v.gp").exists()
 
 
+@pytest.mark.parametrize("shape", ["hexagon", "rhombus120", "triangle60"])
+def test_verify_gnuplot_samples_match_the_sample_command(tmp_path, shape):
+    # verify redraws the drop for its sample CSV from the same seed, so the
+    # file is the one that sample writes for the same terminals
+    common = ["--preset", "urban-micro-los", "--side", "250", "--shape", shape, "--count", "3000",
+              "--seed", "9"]
+    assert run(["verify", *common, "--report", str(tmp_path / "v.json"), "--gnuplot"]) == 0
+    assert run(["sample", *common, "--out", str(tmp_path / "s.csv")]) == 0
+    assert (tmp_path / "v_samples.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+
 def test_verify_warns_below_five_terminals_per_bin(tmp_path, capsys):
     # 96 chi-square bins expect 5 terminals each from 480 on; below that a
     # warning goes to stderr, while stdout, the report and the exit code
@@ -422,6 +433,16 @@ def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hexdrop.cli, "run_drop", exhausted)
     assert run(["sample", "--side", "1000", "--out", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_verify_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(hexdrop.verify, "sample_points", exhausted)
+    assert run(["verify", "--side", "1000", "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_side_out_of_preset_range_is_not_an_unknown_preset():
