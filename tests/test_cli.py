@@ -285,23 +285,30 @@ NO_SCIPY_COMMANDS = [
      "--with-oracle", "--out", "oracle.csv"],
     ["sample", "--side", "1000", "--count", "500", "--out", "sample.csv"],
     ["verify", "--side", "1000", "--count", "2000", "--report", "report.json"],
+    # 12 000 values, at least FAST_CSV_MIN_VALUES: the only command here that loads orjson
+    ["sample", "--side", "1000", "--count", "2000", "--out", "sample.csv"],
 ]
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # in a fresh interpreter: neither the import nor any command loads scipy
+    # in a fresh interpreter: neither the import nor any command loads scipy,
+    # and only a CSV write of FAST_CSV_MIN_VALUES values or more loads orjson
     env = dict(os.environ, PYTHONPATH=str(Path(hexdrop.__file__).resolve().parents[1]))
     code = f"""
 import sys
 from hexdrop.cli import main
-seen = [("import", "scipy" in sys.modules)]
+loaded = lambda: ("scipy" in sys.modules, "orjson" in sys.modules)
+seen = [("import", *loaded())]
 for argv in {NO_SCIPY_COMMANDS!r}:
-    seen.append((argv[0], main(argv), "scipy" in sys.modules))
+    seen.append((argv[0], main(argv), *loaded()))
 print(seen)
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
                          check=True)
-    expected = [("import", False)] + [(argv[0], 0, False) for argv in NO_SCIPY_COMMANDS]
+    orjson_after = [False] * (len(NO_SCIPY_COMMANDS) - 1) + [True]
+    expected = [("import", False, False)] + [
+        (argv[0], 0, False, orjson) for argv, orjson in zip(NO_SCIPY_COMMANDS, orjson_after)
+    ]
     assert out.stdout.splitlines()[-1] == str(expected)
 
 
