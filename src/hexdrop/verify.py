@@ -78,22 +78,23 @@ def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropT
     return DropTable(xy=xy, w=w, psi=psi)
 
 
-def _write_columns(path: str | Path, header: str, columns) -> None:
-    """Write equal-length float columns as CSV rows, each value as repr(float).
+def _write_columns(path: str | Path, header: str, n: int, columns) -> None:
+    """Write n rows of float columns as CSV rows, each value as repr(float).
 
-    Outputs of fewer than FAST_CSV_MIN_VALUES values call repr on each
-    value, BLOCK rows per write; larger ones go through :func:`_format_rows`,
-    BLOCK // 4 rows per write, with the same bytes.
+    ``columns(rows)`` returns the equal-length float columns, one per
+    header name, of the rows in the slice ``rows``; it is called once per
+    chunk, so a caller can derive a column per chunk rather than hold it
+    whole.  Outputs of fewer than FAST_CSV_MIN_VALUES values call repr on
+    each value, BLOCK rows per write.  Larger ones are stacked into a new
+    (rows, ncols) array BLOCK // 4 rows at a time, which
+    :func:`_format_rows` owns and edits, and printed flat, with the same
+    bytes.
     """
-    arrays = [np.asarray(c, dtype=float) for c in columns]
-    if len({len(c) for c in arrays}) != 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in arrays]}")
-    n = len(arrays[0])
-    if n * len(arrays) < FAST_CSV_MIN_VALUES:
+    if n * (header.count(",") + 1) < FAST_CSV_MIN_VALUES:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             for a in range(0, n, BLOCK):
-                values = (map(repr, c[a : a + BLOCK].tolist()) for c in arrays)
+                values = (map(repr, c.tolist()) for c in columns(slice(a, a + BLOCK)))
                 fh.write("\n".join(map(",".join, zip(*values))) + "\n")
         return
     # a quarter block: the text takes about 20 bytes per value and is held
@@ -103,32 +104,45 @@ def _write_columns(path: str | Path, header: str, columns) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for a in range(0, n, rows):
-            fh.write(_format_rows(np.column_stack([c[a : a + rows] for c in arrays])))
+            fh.write(_format_rows(np.column_stack(columns(slice(a, a + rows)))))
             fh.write(b"\n")
 
 
 def _format_rows(chunk: np.ndarray) -> memoryview:
-    """The rows of a 2-d float array as CSV lines, without the last newline.
+    """The rows of a C-contiguous 2-d float array as CSV lines, without the last newline.
 
-    orjson prints shortest round-trip digits, which are repr's wherever
-    repr writes plain decimal: at 0 and at 1e-4 <= |v| < 1e16.  Every other
-    value (non-finite, 0 < |v| < 1e-4 or |v| >= 1e16, which repr writes as
-    nan, inf, 1.5e-05 or 1e+16) is set to NaN in chunk before printing, and
-    each null printed for one is replaced, in row-major order, by repr(v).
+    The function owns chunk and edits it.  The array is printed flat by one
+    orjson call, as "[v,v,...,v]"; in a writable copy of that text every
+    ncols-th comma becomes a newline, and the copy is returned without its
+    brackets.  orjson prints shortest round-trip digits, which are repr's
+    wherever repr writes plain decimal: at 0 and at 1e-4 <= |v| < 1e16.
+    Every other value (non-finite, 0 < |v| < 1e-4 or |v| >= 1e16, which
+    repr writes as nan, inf, 1.5e-05 or 1e+16, with no comma) is set to NaN
+    in chunk, and each null printed for one is replaced, in row-major
+    order, by repr(v); chunks without such a value skip that pass.
     """
     import orjson  # in function scope: only large CSV writes pay its import
 
     odd = ~(np.abs(chunk) < 1e16) | (np.abs(chunk) < 1e-4) & (chunk != 0.0)
     patches = tuple(repr(v).encode() for v in chunk[odd].tolist())
     chunk[odd] = np.nan
-    # the digits, signs, dots and brackets that orjson prints hold no "%"
-    text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"null", b"%b") % patches
-    return memoryview(text.replace(b"],[", b"\n"))[2:-2]
+    text = orjson.dumps(chunk.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    if patches:  # the digits, signs, dots and brackets that orjson prints hold no "%"
+        text = text.replace(b"null", b"%b") % patches
+    line = np.frombuffer(text, dtype=np.uint8).copy()
+    del text
+    line[np.flatnonzero(line == ord(","))[chunk.shape[1] - 1 :: chunk.shape[1]]] = ord("\n")
+    return memoryview(line)[1:-1]
 
 
 def write_samples_csv(path: str | Path, table: DropTable) -> None:
-    columns = (table.xy[:, 0], table.xy[:, 1], table.r, table.w, table.psi, table.lp)
-    _write_columns(path, "x_m,y_m,r_m,w_db,psi_db,lp_db", columns)
+    """Write a drop as CSV rows x, y, r, w, psi, lp, with r and lp formed per chunk."""
+
+    def columns(rows: slice) -> tuple:
+        x, y, w, psi = table.xy[rows, 0], table.xy[rows, 1], table.w[rows], table.psi[rows]
+        return x, y, np.hypot(x, y), w, psi, w + psi
+
+    _write_columns(path, "x_m,y_m,r_m,w_db,psi_db,lp_db", len(table), columns)
 
 
 @dataclass(frozen=True)
@@ -274,10 +288,11 @@ def spatial_chi_square(
 
 
 def write_density_csv(path: str | Path, l: np.ndarray, f_closed: np.ndarray, f_oracle=None) -> None:
-    if f_oracle is None:
-        _write_columns(path, "l_db,f_closed", (l, f_closed))
-    else:
-        _write_columns(path, "l_db,f_closed,f_oracle", (l, f_closed, f_oracle))
+    arrays = [np.asarray(c, dtype=float) for c in (l, f_closed, f_oracle) if c is not None]
+    if len({len(c) for c in arrays}) != 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in arrays]}")
+    header = ",".join(("l_db", "f_closed", "f_oracle")[: len(arrays)])
+    _write_columns(path, header, len(arrays[0]), lambda rows: [c[rows] for c in arrays])
 
 
 @dataclass

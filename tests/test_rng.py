@@ -21,6 +21,29 @@ def test_uniforms_open_interval():
     assert u.max() < 1.0
 
 
+def test_uniforms_redraw_exact_zeros():
+    # an exact 0.0 has probability 2**-53 per draw, so a stub generator
+    # returns some on its first call
+    stream, reference = VariateStream(5), np.random.Generator(np.random.PCG64(5))
+    real, calls = stream._rng, []
+
+    class FirstCallZeros:
+        def random(self, n):
+            calls.append(n)
+            u = real.random(n)
+            if len(calls) == 1:
+                u[::3] = 0.0
+            return u
+
+    stream._rng = FirstCallZeros()
+    u = stream.uniforms(10)
+    expected = reference.random(10)
+    expected[::3] = reference.random(4)
+    assert calls == [10, 4]
+    assert np.array_equal(u, expected)
+    assert u.all()
+
+
 def test_normal_moments():
     z = VariateStream(11).normals(200_000)
     n = len(z)

@@ -165,14 +165,34 @@ def test_csv_rows_match_one_row_at_a_time_across_blocks(tmp_path):
         ])
         cols = rng.permutation(values)[:n].reshape(3, -1)
         write_density_csv(out, *cols)
-        expected = "".join(",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in cols)))
-        assert out.read_bytes() == ("l_db,f_closed,f_oracle\n" + expected).encode("utf-8"), rows
+        assert out.read_bytes() == _csv_bytes("l_db,f_closed,f_oracle", cols), rows
+    # drops whose r and lp are derived per chunk, over 1 to 4 chunks, with
+    # values that repr writes with an exponent or sign in one chunk only
+    chunk = BLOCK // 4
+    for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        xy = rng.uniform(1.0, 1000.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+        w = rng.uniform(80.0, 160.0, n)
+        psi = rng.uniform(0.5, 20.0, n) * rng.choice([-1.0, 1.0], n)
+        a = chunk * (max(n - 3, 0) // chunk)
+        psi[a : a + 3] = [1.5e-05, -0.0, 1e16][: n - a]
+        table = verify.DropTable(xy=xy, w=w, psi=psi)
+        kept = [c.copy() for c in (xy, w, psi)]
+        write_samples_csv(out, table)
+        cols = (xy[:, 0], xy[:, 1], table.r, w, psi, table.lp)
+        assert out.read_bytes() == _csv_bytes("x_m,y_m,r_m,w_db,psi_db,lp_db", cols), n
+        assert all(np.array_equal(c, k) for c, k in zip((xy, w, psi), kept)), n
 
 
-def test_write_samples_csv_peak_memory_is_at_most_six_columns(tmp_path):
-    # the derived columns r and lp are two; orjson prints BLOCK // 4 rows
-    # at a time, and their text, about 20 bytes per value, is held twice
-    # while it is edited (5.18 columns measured at 200 000 rows)
+def _csv_bytes(header, cols):
+    rows = zip(*(c.tolist() for c in cols))
+    return (header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)).encode("utf-8")
+
+
+def test_write_samples_csv_peak_memory_is_at_most_five_columns(tmp_path):
+    # r and lp are derived per chunk, so no column beyond the table's four
+    # is built; orjson prints BLOCK // 4 rows at a time, and their text,
+    # about 20 bytes per value, is held twice while it is edited (4.45
+    # columns measured at 200 000 rows)
     geom, pl = _macro()
     write_samples_csv(tmp_path / "warm.csv", run_drop(geom, pl, 10_000, seed=1))  # imports orjson
     n = 200_000
@@ -183,7 +203,7 @@ def test_write_samples_csv_peak_memory_is_at_most_six_columns(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * n, f"peak {peak / 2**20:.1f} MiB, {peak / (8 * n):.2f} columns"
+    assert peak <= 5 * 8 * n, f"peak {peak / 2**20:.1f} MiB, {peak / (8 * n):.2f} columns"
 
 
 def test_density_csv_rejects_unequal_columns(tmp_path):
