@@ -86,7 +86,11 @@ def chord_y_bounds(geom: CellGeometry, x):
     """Lower and upper y of the vertical chord at abscissa x.
 
     x may be a scalar or an array between the extreme vertex abscissae;
-    the bounds collapse to a point at extreme vertices.
+    the bounds collapse to a point at extreme vertices.  A bound that
+    follows two edges is the minimum or maximum of their lines, so no branch
+    depends on x, and it equals the edge-by-edge bound bit for bit: rounding
+    is monotone, and a flat edge's h = fl(sqrt(3) * (L/2)) is the value of
+    the sloped edge's line where the two meet.
     """
     x = np.asarray(x, dtype=float)
     L = geom.side
@@ -95,11 +99,12 @@ def chord_y_bounds(geom: CellGeometry, x):
         lo = np.zeros_like(x)
         hi = SQRT3 * np.minimum(x, L - x)
     elif geom.shape is CellShape.RHOMBUS120:
-        lo = np.where(x < 0.0, -SQRT3 * x, 0.0)
-        hi = np.where(x <= L / 2.0, h, SQRT3 * (L - x))
+        # 0 - y, not -y: at x = +0.0 both operands are then +0.0, whichever one a tie keeps
+        lo = np.maximum(0.0 - SQRT3 * x, 0.0)
+        hi = np.minimum(SQRT3 * (L - x), h)
     else:
-        half = np.where(np.abs(x) <= L / 2.0, h, SQRT3 * (L - np.abs(x)))
-        lo, hi = -half, half
+        hi = np.minimum(SQRT3 * (L - np.abs(x)), h)
+        lo = -hi
     return lo, hi
 
 
@@ -139,34 +144,45 @@ def sample_x(geom: CellGeometry, u):
                    (3L/4)*(2u - 1)             for 1/6 <= u <= 5/6
                    L*(1 - sqrt(3(1-u)/2))      for u >= 5/6
 
+    Each piece is evaluated on every lane, multiplied by its lane's mask
+    (0 or 1) and the products are summed, so no branch depends on u.  The
+    off-piece products are +-0.0, and no piece is -0.0 on its own interval,
+    so the sum equals the formulas above bit for bit.  The outer pieces
+    share one square root: min(u, 1 - u) is u below 1/2 and the exact 1 - u
+    above it.
+
     Scalar or array u; raises ValueError outside the open unit interval.
     """
     arr = np.asarray(u, dtype=float)
     if not ((arr > 0.0) & (arr < 1.0)).all():
         raise ValueError("uniform variate must lie strictly inside (0, 1)")
     L = geom.side
-    if geom.shape is CellShape.TRIANGLE60:
-        x = np.where(
-            arr <= 0.5,
-            L * np.sqrt(arr / 2.0),
-            L * (1.0 - np.sqrt((1.0 - arr) / 2.0)),
-        )
-    elif geom.shape is CellShape.RHOMBUS120:
-        x = np.select(
-            [arr <= 0.25, arr <= 0.75],
-            [(L / 2.0) * (2.0 * np.sqrt(arr) - 1.0), L * (arr - 0.25)],
-            default=L * (1.0 - np.sqrt(1.0 - arr)),
-        )
-    else:
-        x = np.select(
-            [arr <= 1.0 / 6.0, arr <= 5.0 / 6.0],
-            [
-                L * (np.sqrt(1.5 * arr) - 1.0),
-                0.75 * L * (2.0 * arr - 1.0),
-            ],
-            default=L * (1.0 - np.sqrt(1.5 * (1.0 - arr))),
-        )
-    return float(x) if np.ndim(u) == 0 else x
+    # the factor under the outer pieces' root, the two junctions, the lower
+    # piece as a function of that root and the middle piece as one of u
+    c, a, b, lower, middle = {
+        CellShape.TRIANGLE60: (0.5, 0.5, 0.5, lambda r: L * r, None),
+        CellShape.RHOMBUS120: (
+            1.0, 0.25, 0.75, lambda r: (L / 2.0) * (2.0 * r - 1.0), lambda v: L * (v - 0.25)
+        ),
+        CellShape.HEXAGON: (
+            1.5, 1.0 / 6.0, 5.0 / 6.0, lambda r: L * (r - 1.0), lambda v: 0.75 * L * (2.0 * v - 1.0)
+        ),
+    }[geom.shape]
+    v = np.atleast_1d(arr)
+    r = np.minimum(v, 1.0 - v)
+    r *= c
+    np.sqrt(r, out=r)
+    x = lower(r)
+    x *= v <= a
+    np.subtract(1.0, r, out=r)  # the upper piece, L * (1 - r), for every shape
+    r *= L
+    r *= v > b
+    x += r
+    if middle is not None:
+        r = middle(v)
+        r *= (v > a) & (v <= b)
+        x += r
+    return float(x[0]) if np.ndim(u) == 0 else x
 
 
 def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarray:

@@ -167,8 +167,8 @@ def ks_test(samples: np.ndarray, cdf) -> KsResult:
     d = []  # D+ and D- of each block
     for a in range(0, n, BLOCK):
         f = np.asarray(cdf(s[a : a + BLOCK]), dtype=float)
-        i = np.arange(a + 1, min(a + BLOCK, n) + 1)
-        d += [np.max(i / n - f), np.max(f - (i - 1) / n)]
+        q = np.arange(a, min(a + BLOCK, n) + 1) / n  # (i - 1)/n and i/n for i = a + 1, ...
+        d += [np.max(q[1:] - f), np.max(f - q[:-1])]
     statistic = float(np.max(d))
     critical = KS_COEFF_001_LEVEL / math.sqrt(n)
     return KsResult(statistic=statistic, critical=critical, passed=statistic < critical)
@@ -202,10 +202,10 @@ def _bin_index(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
     index *= ny
     lo, width = chord_y_bounds(geom, x)
     width -= lo
-    wide = width > 0.0
     v = np.subtract(xy[:, 1], lo, out=lo)
-    np.divide(v, width, out=v, where=wide)
-    v[~wide] = 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v /= width
+    v[~(width > 0.0)] = 0.5
     v *= ny
     iv = v.astype(int)
     np.clip(iv, 0, ny - 1, out=iv)

@@ -62,6 +62,67 @@ def test_piece_boundary_continuity(shape, side):
         assert abs(sample_x(CellGeometry(shape, side), u_star) - left(u_star, side)) <= 1e-12 * side
 
 
+def _reference_x(shape, L, u):
+    # the docstring's piecewise inverses, each piece picked by np.select or np.where
+    if shape is CellShape.TRIANGLE60:
+        return np.where(u <= 0.5, L * np.sqrt(u / 2.0), L * (1.0 - np.sqrt((1.0 - u) / 2.0)))
+    if shape is CellShape.RHOMBUS120:
+        return np.select(
+            [u <= 0.25, u <= 0.75],
+            [(L / 2.0) * (2.0 * np.sqrt(u) - 1.0), L * (u - 0.25)],
+            default=L * (1.0 - np.sqrt(1.0 - u)),
+        )
+    return np.select(
+        [u <= 1.0 / 6.0, u <= 5.0 / 6.0],
+        [L * (np.sqrt(1.5 * u) - 1.0), 0.75 * L * (2.0 * u - 1.0)],
+        default=L * (1.0 - np.sqrt(1.5 * (1.0 - u))),
+    )
+
+
+def _reference_bounds(shape, L, x):
+    # the chord bounds edge by edge, each picked by np.where
+    h = SQRT3 * L / 2.0
+    if shape is CellShape.TRIANGLE60:
+        return np.zeros_like(x), SQRT3 * np.minimum(x, L - x)
+    if shape is CellShape.RHOMBUS120:
+        return np.where(x < 0.0, -SQRT3 * x, 0.0), np.where(x <= L / 2.0, h, SQRT3 * (L - x))
+    half = np.where(np.abs(x) <= L / 2.0, h, SQRT3 * (L - np.abs(x)))
+    return -half, half
+
+
+def _bits(v):
+    # int64 views, so that +0.0 and -0.0 differ
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+JUNCTIONS = np.array([1.0 / 6.0, 0.25, 0.5, 0.75, 5.0 / 6.0])
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+@pytest.mark.parametrize("side", [1.0, 300.0, 1000.0, 1732.5])
+def test_branch_free_kernels_are_bit_identical_to_the_piecewise_formulas(shape, side):
+    geom = CellGeometry(shape, side)
+    edges = np.concatenate([JUNCTIONS, np.nextafter(JUNCTIONS, 0.0), np.nextafter(JUNCTIONS, 1.0)])
+    ends = [5e-324, 2.0**-53, 1e-300, np.nextafter(1.0, 0.0)]
+    u = np.concatenate([VariateStream(29).uniforms(1_000_000), edges, ends])
+    x = sample_x(geom, u)
+    assert np.array_equal(_bits(x), _bits(_reference_x(shape, side, u)))
+    vertices = np.unique(shape_vertices(geom)[:, 0])
+    at = np.concatenate(
+        [x, vertices, np.nextafter(vertices, -np.inf), np.nextafter(vertices, np.inf), [0.0, -0.0]]
+    )
+    for new, ref in zip(chord_y_bounds(geom, at), _reference_bounds(shape, side, at)):
+        assert np.array_equal(_bits(new), _bits(ref))
+    # scalars: a float from sample_x, a 0-d pair from chord_y_bounds
+    for v in np.concatenate([edges, ends]):
+        got = sample_x(geom, float(v))
+        assert type(got) is float
+        assert _bits(got) == _bits(_reference_x(shape, side, np.array([v])))[0]
+    for v in np.concatenate([vertices, [0.0, -0.0, side / 2.0, -side / 2.0]]):
+        for new, ref in zip(chord_y_bounds(geom, float(v)), _reference_bounds(shape, side, np.array([v]))):
+            assert np.ndim(new) == 0 and _bits(new) == _bits(ref)[0]
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_sample_x_strictly_increasing(shape):
     geom = CellGeometry(shape, 1.0)

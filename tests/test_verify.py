@@ -65,8 +65,10 @@ def test_run_drop_deterministic():
 
 
 def test_run_verification_passes_the_sampled_positions(monkeypatch):
-    # the (n, 2) array from sample_points reaches spatial_chi_square uncopied
-    sampled, tested = [], []
+    # the (n, 2) array from sample_points reaches spatial_chi_square uncopied,
+    # and each stage is looked up in hexdrop.verify's globals, where
+    # bench/tracing.py puts its spans
+    sampled, tested, ks_calls, cdf_calls = [], [], [], []
 
     def sample(*args):
         sampled.append(sample_points(*args))
@@ -76,12 +78,23 @@ def test_run_verification_passes_the_sampled_positions(monkeypatch):
         tested.append(xy)
         return spatial_chi_square(geom, xy)
 
+    def ks(samples, cdf):
+        ks_calls.append(len(samples))
+        return ks_test(samples, cdf)
+
+    def cdf_table(model, v):
+        cdf_calls.append(len(v))
+        return shadowed_cdf(model, v)
+
     monkeypatch.setattr(verify, "sample_points", sample)
     monkeypatch.setattr(verify, "spatial_chi_square", chi_square)
+    monkeypatch.setattr(verify, "ks_test", ks)
+    monkeypatch.setattr(verify, "shadowed_cdf", cdf_table)
     geom = CellGeometry(CellShape.HEXAGON, 1000.0)
     run_verification(geom, preset_model("urban-macro", 1000.0), "urban-macro", 500, 3)
     assert len(sampled) == 1 and len(tested) == 1
     assert tested[0] is sampled[0]
+    assert ks_calls == [500] and cdf_calls == [500]
 
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
