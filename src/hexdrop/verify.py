@@ -11,21 +11,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .density import DensityModel, shadowed_cdf
-from .geometry import BLOCK, CellGeometry, chord_y_bounds, marginal_x_cdf, sample_points
-from .numerics import NonConvergenceError
+from .geometry import BLOCK, SQRT3, CellGeometry, CellShape, point_in_shape, sample_points, shape_vertices
+from .numerics import NonConvergenceError, q_function
 from .pathloss import PathLossParams, mean_pathloss
 from .rng import GENERATOR_LABEL, VariateStream
 
 # Asymptotic one-sample KS critical coefficient at significance 0.01.
 KS_COEFF_001_LEVEL = 1.628
 
-SPATIAL_BINS_X = 12
-SPATIAL_BINS_Y = 8
+SPATIAL_BINS = 96
 SPATIAL_SIGNIFICANCE = 1e-3
 
 # CSV outputs of at least this many values are printed by orjson: its import
@@ -174,43 +174,56 @@ def ks_test(samples: np.ndarray, cdf) -> KsResult:
     return KsResult(statistic=statistic, critical=critical, passed=statistic < critical)
 
 
-def equal_area_bin_counts(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
-    """Histogram points into SPATIAL_BINS_X * SPATIAL_BINS_Y equal-probability bins.
+@cache
+def _lattice(shape: CellShape) -> tuple:
+    """(m, a0, b0, cols, inside, bins): the triangles of :func:`lattice_bin_counts`.
 
-    The bins are preimages of a regular grid under (F_X(x), position of y
-    inside its chord), the inverse of the sampler's own transform; under
-    uniformity each bin carries exactly the same probability, 1/(nx*ny).
-    The points are binned BLOCK rows at a time.
+    Triangle 2 (row cols + column) + upper lies in row b0 + row and column
+    a0 + column, with a margin of one round the shape.  Those whose centroid
+    passes :func:`hexdrop.geometry.point_in_shape` tile the shape, bin j
+    holds the j-th run of 1, 3 or 6 of them, and any other takes the bin of
+    the nearest inside.  The lattice has no scale: one table serves every side.
     """
-    counts = np.zeros(SPATIAL_BINS_X * SPATIAL_BINS_Y, dtype=np.intp)
-    for a in range(0, len(xy), BLOCK):
-        counts += np.bincount(_bin_index(geom, xy[a : a + BLOCK]), minlength=counts.size)
-    return counts
+    m = {CellShape.HEXAGON: 4, CellShape.RHOMBUS120: 12, CellShape.TRIANGLE60: 24}[shape]  # 6m^2, 2m^2, m^2
+    unit = CellGeometry(shape, 1.0)
+    corners = np.rint(shape_vertices(unit) @ [[m, 0.0], [-m / SQRT3, 2.0 * m / SQRT3]]).astype(int)  # (a, b)
+    (a0, b0), (a1, b1) = corners.min(axis=0) - 1, corners.max(axis=0) + 1
+    r, c, third = np.meshgrid(np.arange(b0, b1), np.arange(a0, a1), (1.0 / 3.0, 2.0 / 3.0), indexing="ij")
+    b, a = (r + third).ravel(), (c + third).ravel()  # a lower triangle's centroid, then an upper one's
+    centroid = np.column_stack([(a + 0.5 * b) / m, b * (SQRT3 / 2.0 / m)])
+    inside = point_in_shape(unit, centroid)
+    own, out, cols = np.flatnonzero(inside), np.flatnonzero(~inside), a1 - a0
+    bins = (np.cumsum(inside) - 1) // (own.size // SPATIAL_BINS)
+    # the nearest has an edge neighbour outside: the one before or after, or across its base
+    rim = own[~(inside[own - 1] & inside[own + 1] & inside[own + np.where(own % 2, 2 * cols - 1, 1 - 2 * cols)])]
+    bins[out] = bins[rim[np.argmin(np.hypot(*(centroid[out, None] - centroid[rim]).T), axis=0)]]
+    inside.flags.writeable = bins.flags.writeable = False
+    return m, a0, b0, cols, inside, bins
 
 
-def _bin_index(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
-    """The equal-area bin of each point, iu * SPATIAL_BINS_Y + iv.
+def lattice_bin_counts(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
+    """The count of points in each of SPATIAL_BINS equal-area bins, BLOCK rows at a time.
 
-    u = F_X(x) and v = (y - lo) / (hi - lo), or 0.5 on a chord of zero
-    width, are scaled and truncated in place, so a block holds a few arrays
-    at a time, and they are freed when the call returns.
+    With h = sqrt(3) L / 2 and m from :func:`_lattice`, a point has lattice
+    coordinates b = y m / h and a = x m / L - b / 2: row floor(b) and column
+    floor(a) hold a lower and an upper triangle of side L / m, the upper one
+    where frac(a) + frac(b) >= 1.  An index off the table is clipped.
     """
-    nx, ny = SPATIAL_BINS_X, SPATIAL_BINS_Y
-    x = xy[:, 0]
-    index = (marginal_x_cdf(geom, x) * nx).astype(int)
-    np.clip(index, 0, nx - 1, out=index)
-    index *= ny
-    lo, width = chord_y_bounds(geom, x)
-    width -= lo
-    v = np.subtract(xy[:, 1], lo, out=lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v /= width
-    v[~(width > 0.0)] = 0.5
-    v *= ny
-    iv = v.astype(int)
-    np.clip(iv, 0, ny - 1, out=iv)
-    index += iv
-    return index
+    m, a0, b0, cols, _, bins = _lattice(geom.shape)
+    per_triangle = np.zeros(bins.size, dtype=np.intp)
+    for s in range(0, len(xy), BLOCK):  # b - b0 and a - a0 are >= 0 near the cell, where truncation floors
+        b = xy[s : s + BLOCK, 1] * (m / (SQRT3 * geom.side / 2.0))
+        b -= b0
+        a = xy[s : s + BLOCK, 0] * (m / geom.side)
+        a -= a0 + 0.5 * b0
+        a -= 0.5 * b
+        index = b.astype(np.intp)
+        index *= 2 * cols - 1
+        index += a.astype(np.intp)
+        a += b  # floor(a + b) = floor(a) + floor(b) + upper
+        index += a.astype(np.intp)
+        per_triangle += np.bincount(np.clip(index, 0, bins.size - 1, out=index), minlength=bins.size)
+    return np.bincount(bins, weights=per_triangle, minlength=SPATIAL_BINS).astype(np.intp)
 
 
 def _chi2_isf(q: float, dof: int) -> float:
@@ -221,21 +234,24 @@ def _chi2_isf(q: float, dof: int) -> float:
     erfc(sqrt(y)) + e^-y (y^(1/2)/Gamma(3/2) + ... + y^(dof/2 - 1)/Gamma(dof/2))
     for odd dof.  Its last term is twice the density at x.  Newton's method
     on log Q(dof/2, x/2) = log q runs from the Wilson-Hilferty start, for
-    0 < q <= 0.5.  At dof 1 to 200 and q from 0.05 down to 1e-6 the result
-    is within 1 ulp of the exact quantile.
+    0 < q <= 0.5, whose normal quantile is Abramowitz and Stegun's 26.2.23
+    after three Newton steps.  At dof 1 to 200 and q from 0.05 down to 1e-6
+    the result is within 1 ulp of the exact quantile.
     """
-    from fractions import Fraction
-    from statistics import NormalDist  # both in function scope: only verify needs them
-
+    t = math.sqrt(-2.0 * math.log(q))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    for _ in range(3):
+        z += (q_function(z) - q) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
     h = 2.0 / (9.0 * dof)
-    x = dof * (1.0 - h - NormalDist().inv_cdf(q) * math.sqrt(h)) ** 3
+    x = dof * (1.0 - h + z * math.sqrt(h)) ** 3
     odd = dof % 2
     for _ in range(32):
         y = 0.5 * x
         term = math.exp(-y) / (math.sqrt(math.pi * y) if odd else 1.0)  # e^-y y^(j-1)/Gamma(j)
         if odd:  # erfc(sqrt(y)) = erfc(s) - term * (y - s^2) to first order, for the rounded root s
             s = math.sqrt(y)
-            terms = [math.erfc(s), -term * float(Fraction(y) - Fraction(s) ** 2)]
+            (n, d), (k, e) = y.as_integer_ratio(), s.as_integer_ratio()  # int / int rounds correctly
+            terms = [math.erfc(s), -term * ((n * e * e - k * k * d) / (d * e * e))]
         else:
             terms = [term]
         j = 1.0 - 0.5 * odd
@@ -262,14 +278,11 @@ class ChiSquareResult:
 def spatial_chi_square(
     geom: CellGeometry, xy: np.ndarray, significance: float = SPATIAL_SIGNIFICANCE
 ) -> ChiSquareResult:
-    """Chi-square uniformity test over equal-area bins.
+    """Chi-square uniformity test over the equal-area bins of :func:`lattice_bin_counts`.
 
-    The bins of :func:`equal_area_bin_counts` invert the sampler's own
-    transform, so on :func:`hexdrop.geometry.sample_points` output the
-    statistic depends only on the stream's uniforms (94.3808 at seed 11
-    with 1e4 points, for all three shapes at sides 300 m and 1000 m): it
-    tests the generator, not the geometry.  The geometry is checked by
-    acceptance criterion 1 and test_marginal_matches_chord_quadrature.
+    The bins are unions of lattice triangles, so they test the geometry and
+    not only the generator: at seed 11 with 1e4 points the statistic is
+    85.8944 (hexagon), 90.0608 (rhombus) and 80.288 (triangle) at every side.
     The critical value is the chi-square quantile at 1 - significance with
     bins - 1 degrees of freedom; significance must lie in (0, 0.5].
     """
@@ -277,13 +290,11 @@ def spatial_chi_square(
         raise ValueError("positions must be nonempty")
     if not 0.0 < significance <= 0.5:
         raise ValueError(f"significance must lie in (0, 0.5], got {significance}")
-    counts = equal_area_bin_counts(geom, xy)
-    n = counts.sum()
-    expected = n / counts.size
-    statistic = float(np.sum((counts - expected) ** 2) / expected)
-    critical = _chi2_isf(significance, counts.size - 1)
+    expected = len(xy) / SPATIAL_BINS
+    statistic = float(np.sum((lattice_bin_counts(geom, xy) - expected) ** 2) / expected)
+    critical = _chi2_isf(significance, SPATIAL_BINS - 1)
     return ChiSquareResult(
-        statistic=statistic, bins=counts.size, critical=critical, passed=statistic < critical
+        statistic=statistic, bins=SPATIAL_BINS, critical=critical, passed=statistic < critical
     )
 
 

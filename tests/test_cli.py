@@ -220,7 +220,7 @@ GOLDEN = [
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
          "--report", "report.json"],
         {
-            "report.json": "7a2d2ae20ef7505f4448f161ab3b69117b820906e5ceba022b5e6b80f8f0988a",
+            "report.json": "d64acdf0ce01da5b8a5a3c93eaab7e61368f4ab1e6f32236c44d8f21d38c52e0",
             "report_samples.csv": "fd8884e624c126be75067675912a7bd1243b9e000628cb1ba0a132fd52d8d0cc",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
@@ -251,7 +251,7 @@ GOLDEN = [
         ["verify", "--shape", "rhombus120", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "a964eb1c1d9635cc8926e28e41f86cc635cdde2c0cd82689592c4f41525b70b6",
+            "report.json": "6c4f7b9c6e7fe468ea677090bbf82b77fc6351c4bb37c24ca712371911d14a8b",
             "report_samples.csv": "25dd7062d2e18f82bafad5d5fdbc674450c71ff39b9d9936685644715f93049d",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
@@ -261,7 +261,7 @@ GOLDEN = [
         ["verify", "--shape", "triangle60", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "91a7d6068fec2265680856cad1a33340865a8cb5dcf753faef240127f2685fea",
+            "report.json": "67aa549e03c2e471c7bed62c1adf01d038e53c7f1fa485f88ed7cc08d6033fdf",
             "report_samples.csv": "fef89412a92e11ca61d0e03aed84b836640181aed339955be98144441780ee5e",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",

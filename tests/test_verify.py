@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +22,13 @@ from hexdrop import (
     shadowed_cdf,
     spatial_chi_square,
 )
+import hexdrop.geometry as geometry
 import hexdrop.verify as verify
-from hexdrop.geometry import BLOCK, chord_y_bounds, marginal_x_cdf, sample_x
+from hexdrop.geometry import BLOCK, SQRT3, chord_y_bounds, sample_x, shape_vertices
 from hexdrop.verify import (
     FAST_CSV_MIN_VALUES,
     VerifyReport,
-    equal_area_bin_counts,
+    lattice_bin_counts,
     run_verification,
     write_density_csv,
     write_samples_csv,
@@ -270,25 +275,108 @@ def test_ks_rejects_empty():
 # ------------------------------------------------------------- spatial test
 
 
-def test_equal_area_bins_cover_all_points():
-    geom = CellGeometry(CellShape.HEXAGON, 1.0)
-    pts = sample_points(geom, VariateStream(2), 5000)
-    counts = equal_area_bin_counts(geom, pts)
-    assert counts.sum() == 5000
-    assert counts.size == 96
+LATTICE_SIDES = [1.0, 300.0, 1000.0, 1732.5]
+TRIANGLES_PER_BIN = {CellShape.HEXAGON: 1, CellShape.RHOMBUS120: 3, CellShape.TRIANGLE60: 6}
+
+
+def _lattice_triangles(geom):
+    # the vertices of every table triangle at the cell's side, counter-clockwise,
+    # shape (triangles, 3, 2), from its index 2 (row cols + column) + upper alone
+    m, a0, b0, cols, _, bins = verify._lattice(geom.shape)
+    i = np.arange(bins.size)
+    r, c, up = i // (2 * cols) + b0, i // 2 % cols + a0, i % 2
+    # lower (c, r), (c+1, r), (c, r+1); upper (c+1, r), (c+1, r+1), (c, r+1)
+    a = np.stack([c + up, c + 1, c], axis=1)
+    b = np.stack([r, r + up, r + 1], axis=1)
+    return np.stack([(a + 0.5 * b) * (geom.side / m), b * (SQRT3 * geom.side / 2.0 / m)], axis=-1)
+
+
+def _shoelace(v):
+    x, y = v[..., 0], v[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+
+
+@pytest.mark.parametrize("side", LATTICE_SIDES)
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_lattice_bins_tile_the_cell_in_equal_areas(shape, side):
+    geom = CellGeometry(shape, side)
+    *_, inside, bins = verify._lattice(shape)
+    k = TRIANGLES_PER_BIN[shape]
+    # bin j holds the j-th run of k inside triangles, in table order
+    assert np.array_equal(bins[inside], np.arange(96 * k) // k)
+    triangles = _lattice_triangles(geom)[inside]
+    assert point_in_shape(geom, triangles.reshape(-1, 2)).all()
+    # disjoint triangles in the cell whose areas sum to the cell's tile it
+    area, cell = _shoelace(triangles), _shoelace(shape_vertices(geom))
+    assert math.fsum(area) == pytest.approx(cell, rel=1e-12, abs=0.0)
+    assert np.bincount(bins[inside], weights=area) == pytest.approx(np.full(96, cell / 96), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("side", LATTICE_SIDES)
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_lattice_bins_count_points_on_and_just_outside_the_edges(shape, side):
+    # every vertex, points along each edge, and each of them one ulp outward
+    # along the edge's outer normal: each is counted, in a bin with a triangle
+    # that has a vertex within one triangle side of it
+    geom = CellGeometry(shape, side)
+    m, *_, inside, bins = verify._lattice(shape)
+    start = shape_vertices(geom)
+    step = np.roll(start, -1, axis=0) - start
+    on_edges = start + np.linspace(0.0, 1.0, 25)[:, None, None] * step
+    normal = np.broadcast_to(np.column_stack([step[:, 1], -step[:, 0]]), on_edges.shape)
+    outward = np.where(normal == 0.0, on_edges, np.nextafter(on_edges, np.copysign(np.inf, normal)))
+    pts = np.concatenate([on_edges.reshape(-1, 2), outward.reshape(-1, 2)])
+    assert lattice_bin_counts(geom, pts).sum() == len(pts)
+    triangles = _lattice_triangles(geom)
+    for p in pts:
+        (j,) = np.flatnonzero(lattice_bin_counts(geom, p[None]))
+        near = np.hypot(*(triangles[inside & (bins == j)] - p).T).min()
+        assert near <= side / m * (1.0 + 1e-9), (p, j)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
-def test_equal_area_bins_match_one_shot_across_blocks(shape):
-    geom = CellGeometry(shape, 1.0)
+def test_lattice_bin_counts_match_the_one_shot_formula_across_blocks(shape):
+    geom = CellGeometry(shape, 1000.0)
     pts = sample_points(geom, VariateStream(7), ACROSS_BLOCKS)
-    x, y = pts[:, 0], pts[:, 1]
-    lo, hi = chord_y_bounds(geom, x)
-    width = hi - lo
-    v = np.where(width > 0.0, (y - lo) / np.where(width > 0.0, width, 1.0), 0.5)
-    iu = np.clip((marginal_x_cdf(geom, x) * 12).astype(int), 0, 11)
-    iv = np.clip((v * 8).astype(int), 0, 7)
-    assert np.array_equal(equal_area_bin_counts(geom, pts), np.bincount(iu * 8 + iv, minlength=96))
+    m, a0, b0, cols, _, bins = verify._lattice(shape)
+    b = pts[:, 1] * (m / (SQRT3 * 1000.0 / 2.0))
+    a = pts[:, 0] * (m / 1000.0) - 0.5 * b
+    row, col = np.floor(b), np.floor(a)
+    upper = (a - col) + (b - row) >= 1.0
+    index = (2 * ((row - b0) * cols + col - a0) + upper).astype(int)
+    counts = lattice_bin_counts(geom, pts)
+    assert counts.sum() == ACROSS_BLOCKS
+    assert np.array_equal(counts, np.bincount(bins[index], minlength=96))
+
+
+@pytest.mark.parametrize("side", [300.0, 1000.0])
+@pytest.mark.parametrize(
+    "shape, statistic",
+    [(CellShape.HEXAGON, 85.8944), (CellShape.RHOMBUS120, 90.0608), (CellShape.TRIANGLE60, 80.288)],
+)
+def test_spatial_chi_square_statistic_depends_on_the_shape(shape, statistic, side):
+    # the seed-11 statistics of the docstring, the same at every side
+    geom = CellGeometry(shape, side)
+    res = spatial_chi_square(geom, sample_points(geom, VariateStream(11), 10_000))
+    assert res.statistic == pytest.approx(statistic, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_spatial_chi_square_rejects_a_short_chord(shape, monkeypatch):
+    # a chord formula 3% short at the top, wherever the package looks it up;
+    # bins that invert the sampler's own transform read 74.4 here and pass
+    true_bounds = geometry.chord_y_bounds
+
+    def short(geom, x):
+        lo, hi = true_bounds(geom, x)
+        return lo, lo + 0.97 * (hi - lo)
+
+    for module in (geometry, verify):
+        if getattr(module, "chord_y_bounds", None) is true_bounds:
+            monkeypatch.setattr(module, "chord_y_bounds", short)
+    geom = CellGeometry(shape, 1000.0)
+    res = spatial_chi_square(geom, sample_points(geom, VariateStream(5), 100_000))
+    assert res.statistic > 4.0 * res.critical, res  # 643, 915 and 1016 against 143.3
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -338,6 +426,17 @@ def test_chi2_quantile_matches_scipy():
     for dof in CHI2_DOFS:
         for q in CHI2_LEVELS:
             assert verify._chi2_isf(q, dof) == pytest.approx(special.chdtri(dof, q), rel=1e-13, abs=0.0)
+
+
+def test_chi2_quantile_imports_nothing_on_its_first_call():
+    # fractions, and statistics with decimal, took 4-5 ms to import on the first call
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+    code = (
+        "import sys; from hexdrop.verify import _chi2_isf; before = set(sys.modules); "
+        "_chi2_isf(1e-3, 95); print(sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_chi2_quantile_pinned():
@@ -408,12 +507,11 @@ def test_run_verification_peak_memory_is_at_most_three_and_a_half_columns():
     # no drop table is built: the positions (x, y) and the loss column lp
     # are the only n-length arrays while lp is filled and the bins run; the
     # positions are freed before the KS test adds lp's sorted copy, and
-    # every pass works in blocks, the spatial bins in place, so the peak is
-    # three columns plus a few blocks (3.35 columns measured)
+    # every pass works in blocks, so the peak is three columns plus a few
+    # blocks (3.33 columns measured)
     geom = CellGeometry(CellShape.RHOMBUS120, 1000.0)
     model = preset_model("suburban-macro", 1000.0)
-    # build the cached CDF table and load the chi-square quantile's stdlib
-    # modules outside the trace
+    # build the cached CDF table and the shape's bin table outside the trace
     run_verification(geom, model, "suburban-macro", 10, seed=3)
     n = 1_000_000
     tracemalloc.start()
