@@ -37,10 +37,12 @@ BLOCK = 65536
 
 
 def check_side(side: float) -> float:
-    """The cell side as a float; raises ValueError unless it is positive and finite."""
+    """The cell side as a float; raises ValueError unless it and sqrt(3) times it are positive and finite."""
     side = float(side)
     if not (math.isfinite(side) and side > 0.0):
         raise ValueError(f"side must be positive and finite, got {side}")
+    if math.isinf(SQRT3 * side):
+        raise ValueError(f"side {side} is too large: sqrt(3) * side overflows")
     return side
 
 

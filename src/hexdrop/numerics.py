@@ -231,7 +231,7 @@ def arcsine_gauss_integral(p: ArcsineGaussParams, method: str = "quadrature", to
     falls below tol times the partial sum (at least 4 terms).  It converges
     fast while the arcsine argument stays below 1 on the interval; where the
     argument touches 1 its tail is polynomial, and SeriesDivergenceError is
-    raised if SERIES_MAX_TERMS terms do not reach tol.
+    raised if SERIES_MAX_TERMS terms do not reach tol.  Both methods serve slope 0.
     """
     scalar = np.ndim(p.offset) == np.ndim(p.lo) == np.ndim(p.hi) == 0
     if method != "quadrature" and not (method == "series" and scalar):
@@ -246,12 +246,7 @@ def arcsine_gauss_integral(p: ArcsineGaussParams, method: str = "quadrature", to
     if (top > 1.0 + ARG_CLAMP).any():
         raise ValueError(f"arcsine argument exceeds 1 on the interval (max {top[top > 1.0 + ARG_CLAMP][0]:.6g})")
     arg_lo, arg_hi = np.minimum(arg_lo, 1.0), np.minimum(arg_hi, 1.0)
-    if p.slope == 0.0:
-        from scipy.special import erf  # in function scope: no CLI command needs scipy
-
-        # constant arcsine factor times the Gaussian mass of the interval
-        value = np.arcsin(arg_lo) * 0.5 * SQRT_PI * (erf(p.hi) - erf(p.lo))
-    elif method == "series":
+    if method == "series":
         value = 0.0 if p.lo == p.hi else _series_value(p, tol)
     else:
         value = _quadrature_value(p, arg_lo, arg_hi, tol)

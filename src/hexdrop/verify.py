@@ -18,7 +18,6 @@ import numpy as np
 
 from .density import DensityModel, shadowed_cdf
 from .geometry import BLOCK, SQRT3, CellGeometry, CellShape, point_in_shape, sample_points, shape_vertices
-from .numerics import NonConvergenceError, q_function
 from .pathloss import PathLossParams, mean_pathloss
 from .rng import GENERATOR_LABEL, VariateStream
 
@@ -27,6 +26,8 @@ KS_COEFF_001_LEVEL = 1.628
 
 SPATIAL_BINS = 96
 SPATIAL_SIGNIFICANCE = 1e-3
+# the chi-square quantile at 1 - SPATIAL_SIGNIFICANCE with SPATIAL_BINS - 1 dof, correctly rounded
+SPATIAL_CRITICAL = 143.3435397792313
 
 # CSV outputs of at least this many values are printed by orjson: its import
 # costs about 7-14 ms and saves about 1 us per value against repr, so it pays
@@ -226,47 +227,6 @@ def lattice_bin_counts(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
     return np.bincount(bins, weights=per_triangle, minlength=SPATIAL_BINS).astype(np.intp)
 
 
-def _chi2_isf(q: float, dof: int) -> float:
-    """The x with P(X > x) = q for X chi-square with dof degrees of freedom.
-
-    At y = x/2 the survival function Q(dof/2, y) is a finite sum:
-    e^-y (1 + y + ... + y^(dof/2 - 1)/(dof/2 - 1)!) for even dof, and
-    erfc(sqrt(y)) + e^-y (y^(1/2)/Gamma(3/2) + ... + y^(dof/2 - 1)/Gamma(dof/2))
-    for odd dof.  Its last term is twice the density at x.  Newton's method
-    on log Q(dof/2, x/2) = log q runs from the Wilson-Hilferty start, for
-    0 < q <= 0.5, whose normal quantile is Abramowitz and Stegun's 26.2.23
-    after three Newton steps.  At dof 1 to 200 and q from 0.05 down to 1e-6
-    the result is within 1 ulp of the exact quantile.
-    """
-    t = math.sqrt(-2.0 * math.log(q))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
-    for _ in range(3):
-        z += (q_function(z) - q) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
-    h = 2.0 / (9.0 * dof)
-    x = dof * (1.0 - h + z * math.sqrt(h)) ** 3
-    odd = dof % 2
-    for _ in range(32):
-        y = 0.5 * x
-        term = math.exp(-y) / (math.sqrt(math.pi * y) if odd else 1.0)  # e^-y y^(j-1)/Gamma(j)
-        if odd:  # erfc(sqrt(y)) = erfc(s) - term * (y - s^2) to first order, for the rounded root s
-            s = math.sqrt(y)
-            (n, d), (k, e) = y.as_integer_ratio(), s.as_integer_ratio()  # int / int rounds correctly
-            terms = [math.erfc(s), -term * ((n * e * e - k * k * d) / (d * e * e))]
-        else:
-            terms = [term]
-        j = 1.0 - 0.5 * odd
-        while j < 0.5 * dof:
-            term *= y / j
-            j += 1.0
-            terms.append(term)
-        sf = math.fsum(terms)
-        step = math.log(sf / q) * sf / (0.5 * term)
-        x += step
-        if abs(step) <= 1e-15 * x:
-            return x
-    raise NonConvergenceError(f"chi-square quantile at q={q:g}, dof={dof} did not converge (last x {x!r})")
-
-
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
@@ -283,18 +243,18 @@ def spatial_chi_square(
     The bins are unions of lattice triangles, so they test the geometry and
     not only the generator: at seed 11 with 1e4 points the statistic is
     85.8944 (hexagon), 90.0608 (rhombus) and 80.288 (triangle) at every side.
-    The critical value is the chi-square quantile at 1 - significance with
-    bins - 1 degrees of freedom; significance must lie in (0, 0.5].
+    The test runs at SPATIAL_SIGNIFICANCE = 1e-3 alone, against SPATIAL_CRITICAL,
+    the chi-square quantile at 1 - 1e-3 with bins - 1 = 95 degrees of
+    freedom; any other significance raises ValueError.
     """
     if len(xy) == 0:
         raise ValueError("positions must be nonempty")
-    if not 0.0 < significance <= 0.5:
-        raise ValueError(f"significance must lie in (0, 0.5], got {significance}")
+    if significance != SPATIAL_SIGNIFICANCE:
+        raise ValueError(f"significance must be {SPATIAL_SIGNIFICANCE}, got {significance}")
     expected = len(xy) / SPATIAL_BINS
     statistic = float(np.sum((lattice_bin_counts(geom, xy) - expected) ** 2) / expected)
-    critical = _chi2_isf(significance, SPATIAL_BINS - 1)
     return ChiSquareResult(
-        statistic=statistic, bins=SPATIAL_BINS, critical=critical, passed=statistic < critical
+        statistic=statistic, bins=SPATIAL_BINS, critical=SPATIAL_CRITICAL, passed=statistic < SPATIAL_CRITICAL
     )
 
 

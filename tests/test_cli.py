@@ -381,6 +381,22 @@ def test_sample_invalid_side_is_usage_error(tmp_path, capsys, side):
     assert err == f"error: side must be positive and finite, got {float(side)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--count", "5", "--out"],
+        ["pdf", "--out"],
+        ["verify", "--count", "100", "--report"],
+    ],
+)
+def test_side_whose_height_overflows_is_usage_error(tmp_path, capsys, argv):
+    # sqrt(3) * side overflows above sys.float_info.max / sqrt(3), about 1.0379e308
+    out = tmp_path / "out"
+    assert run([*argv, str(out), "--side", "1.04e308", "--force-radius"]) == 2
+    assert capsys.readouterr().err == "error: side 1.04e+308 is too large: sqrt(3) * side overflows\n"
+    assert not out.exists()
+
+
 def _preset_file(tmp_path, **fields):
     path = tmp_path / "p.json"
     path.write_text(json.dumps([dict(_GOOD_PRESET, **fields)]), encoding="utf-8")

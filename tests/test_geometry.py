@@ -76,18 +76,30 @@ def test_chord_bounds_match_edge_intersections(shape):
         assert hi == pytest.approx(ehi, abs=1e-12)
 
 
-@pytest.mark.parametrize("side", [0.0, -1.0, float("nan"), float("inf")])
-def test_invalid_side_rejected(side):
+def _side_owners(side):
     # every owner of a cell side applies the one rule, with the one message
     preset = load_preset("urban-macro")
-    checks = [
+    return [
         lambda: CellGeometry(CellShape.HEXAGON, side),
         lambda: DensityModel(side, preset.pathloss_params()),
         lambda: radial_pdf(side, 5.0),
         lambda: radial_cdf(side, 5.0),
         lambda: validate_cell_radius(preset, side),
     ]
-    for check in checks:
+
+
+@pytest.mark.parametrize("side", [0.0, -1.0, float("nan"), float("inf")])
+def test_invalid_side_rejected(side):
+    for check in _side_owners(side):
         with pytest.raises(ValueError) as exc:
             check()
         assert str(exc.value) == f"side must be positive and finite, got {side}"
+
+
+def test_side_whose_height_overflows_rejected():
+    # sqrt(3) * side stays finite up to sys.float_info.max / sqrt(3), about 1.0379e308
+    for check in _side_owners(1.04e308):
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == "side 1.04e+308 is too large: sqrt(3) * side overflows"
+    assert CellGeometry("hexagon", 1.03e308).side == 1.03e308

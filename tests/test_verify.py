@@ -1,10 +1,6 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,55 +389,24 @@ def test_spatial_chi_square_rejects_empty():
         spatial_chi_square(CellGeometry(CellShape.HEXAGON, 1.0), np.empty((0, 2)))
 
 
-@pytest.mark.parametrize("significance", [0.0, 0.6, 1.0, math.nan])
+@pytest.mark.parametrize("significance", [0.0, 0.6, 1.0, math.nan, 0.05, 0.01])
 def test_spatial_chi_square_rejects_a_significance_outside_the_upper_half(significance):
     pts = np.zeros((10, 2))
     with pytest.raises(ValueError, match="significance"):
         spatial_chi_square(CellGeometry(CellShape.HEXAGON, 1.0), pts, significance=significance)
 
 
-CHI2_DOFS = range(1, 201)
-CHI2_LEVELS = (0.05, 1e-2, 1e-3, 1e-4, 1e-6)
-
-
-def test_chi2_quantile_within_one_ulp():
-    # the exact quantile is one 40-digit Newton step from the result, whose
-    # error is then far below an ulp
+def test_spatial_critical_is_the_correctly_rounded_quantile():
+    res = spatial_chi_square(CellGeometry(CellShape.HEXAGON, 1.0), np.zeros((10, 2)))
+    assert res.critical == verify.SPATIAL_CRITICAL == 143.3435397792313
+    # scipy's quantile reads 1 ulp low
+    assert abs(verify.SPATIAL_CRITICAL - special.chdtri(95, 1e-3)) <= math.ulp(verify.SPATIAL_CRITICAL)
+    # the x with Q(95/2, x/2) = 1e-3 to 40 digits, rounded once to a float
     mpmath = pytest.importorskip("mpmath")
-    off = []
     with mpmath.workdps(40):
-        for dof in CHI2_DOFS:
-            a = mpmath.mpf(dof) / 2
-            for q in CHI2_LEVELS:
-                x = verify._chi2_isf(q, dof)
-                y = mpmath.mpf(x) / 2
-                pdf = mpmath.exp(-y) * y ** (a - 1) / (2 * mpmath.gamma(a))
-                exact = x + (mpmath.gammainc(a, y, regularized=True) - q) / pdf
-                if abs(x - exact) > math.ulp(float(exact)):
-                    off.append((dof, q, x, float(exact)))
-    assert off == []
-
-
-def test_chi2_quantile_matches_scipy():
-    for dof in CHI2_DOFS:
-        for q in CHI2_LEVELS:
-            assert verify._chi2_isf(q, dof) == pytest.approx(special.chdtri(dof, q), rel=1e-13, abs=0.0)
-
-
-def test_chi2_quantile_imports_nothing_on_its_first_call():
-    # fractions, and statistics with decimal, took 4-5 ms to import on the first call
-    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
-    code = (
-        "import sys; from hexdrop.verify import _chi2_isf; before = set(sys.modules); "
-        "_chi2_isf(1e-3, 95); print(sorted(set(sys.modules) - before))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
-
-
-def test_chi2_quantile_pinned():
-    # the correctly rounded critical value of the 96-bin test at significance 1e-3
-    assert verify._chi2_isf(1e-3, 95) == 143.3435397792313
+        q = mpmath.mpf(verify.SPATIAL_SIGNIFICANCE)
+        exact = mpmath.findroot(lambda x: mpmath.gammainc(47.5, x / 2, regularized=True) - q, 143.0)
+        assert verify.SPATIAL_CRITICAL == float(exact)
 
 
 def test_spatial_chi_square_rejects_zeroed_y():
