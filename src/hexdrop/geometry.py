@@ -113,22 +113,22 @@ def chord_y_bounds(geom: CellGeometry, x):
 def point_in_shape(geom: CellGeometry, p) -> bool | np.ndarray:
     """Half-plane membership against the contour edges.
 
-    Boundary points count as inside; a relative slack of 1e-12 * side**2
+    The test runs in units of the side, against the unit cell, so no side
+    overflows it.  Boundary points count as inside; a slack of 1e-12
     absorbs the rounding of points constructed on an edge.  Accepts a
     single (x, y) pair or an (n, 2) array.
     """
     pts = np.asarray(p, dtype=float)
     scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    verts = shape_vertices(geom)
-    eps = 1e-12 * geom.side * geom.side
+    pts = np.atleast_2d(pts) / geom.side
+    verts = shape_vertices(CellGeometry(geom.shape, 1.0))
     inside = np.ones(len(pts), dtype=bool)
     n = len(verts)
     for i in range(n):
         ax, ay = verts[i]
         bx, by = verts[(i + 1) % n]
         cross = (bx - ax) * (pts[:, 1] - ay) - (by - ay) * (pts[:, 0] - ax)
-        inside &= cross >= -eps
+        inside &= cross >= -1e-12
     return bool(inside[0]) if scalar else inside
 
 

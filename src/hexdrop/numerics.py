@@ -1,9 +1,9 @@
 """Special functions and integration used by the density evaluators.
 
-Three pieces: the Gaussian tail (Q) function, one breadth-first adaptive
-Gauss-Kronrod (G7/K15) loop on arrays, which both the closed form and the
-convolution oracle integrate with (each smooths a square-root cusp by a
-substitution), and the integral
+Three pieces: the Gaussian tail (Q) function and ln erfc, from the standard
+library's math.erfc, one breadth-first adaptive Gauss-Kronrod (G7/K15) loop
+on arrays, which both the closed form and the convolution oracle integrate
+with (each smooths a square-root cusp by a substitution), and the integral
 
     I(k, a, b; x1, x2) = int_{x1}^{x2} exp(-x^2) * asin(k * 10^-(a + b x)) dx
 
@@ -166,17 +166,26 @@ def _log_asin_taylor_coeff(n: int) -> float:
     return lgamma(2 * n + 1) - 2 * n * math.log(2.0) - 2 * lgamma(n + 1) - math.log(2 * n + 1)
 
 
+def _log_erfc(s: float) -> float:
+    """ln erfc(s) for s >= 0: math.erfc below 26, where erfc(s) is still a normal
+    float, and above it the asymptotic series (Abramowitz & Stegun 7.1.23) to k = 7."""
+    if s < 26.0:
+        return math.log(math.erfc(s))
+    t, total = -0.5 / (s * s), 1.0
+    for j in (13, 11, 9, 7, 5, 3, 1):  # sum of (2k - 1)!! t^k in Horner form
+        total = 1.0 + j * t * total
+    return -s * s - math.log(s * SQRT_PI) + math.log(total)
+
+
 def _amp_erfc_diff(ln_amp: float, xi: float, s1: float, s2: float) -> float:
     """amp * e^(xi^2) * (erfc(s1) - erfc(s2)) without forming e^(xi^2).
 
-    Each product amp*e^(xi^2)*erfc(s) is exp(ln_amp + xi^2 - s^2) * erfcx(|s|)
+    Each product amp*e^(xi^2)*erfc(s) is exp(ln_amp + xi^2 + ln erfc(|s|))
     up to the reflection erfc(-t) = 2 - erfc(t); for admissible parameters
     every exponent here is bounded even though e^(xi^2) alone overflows.
     """
-    from scipy.special import erfcx  # in function scope: no CLI command needs scipy
-
     def tail(s: float) -> float:
-        return math.exp(ln_amp + xi * xi - s * s + math.log(erfcx(abs(s))))
+        return math.exp(ln_amp + xi * xi + _log_erfc(abs(s)))
 
     if s1 >= 0.0:
         return tail(s1) - tail(s2)

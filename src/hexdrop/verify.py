@@ -85,19 +85,12 @@ def _write_columns(path: str | Path, header: str, n: int, columns) -> None:
     ``columns(rows)`` returns the equal-length float columns, one per
     header name, of the rows in the slice ``rows``; it is called once per
     chunk, so a caller can derive a column per chunk rather than hold it
-    whole.  Outputs of fewer than FAST_CSV_MIN_VALUES values call repr on
-    each value, BLOCK rows per write.  Larger ones are stacked into a new
-    (rows, ncols) array BLOCK // 4 rows at a time, which
-    :func:`_format_rows` owns and edits, and printed flat, with the same
-    bytes.
+    whole.  The columns are stacked into a new (rows, ncols) array
+    BLOCK // 4 rows at a time, which :func:`_format_rows` owns and edits;
+    outputs of at least FAST_CSV_MIN_VALUES values are printed by orjson,
+    with the same bytes.
     """
-    if n * (header.count(",") + 1) < FAST_CSV_MIN_VALUES:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for a in range(0, n, BLOCK):
-                values = (map(repr, c.tolist()) for c in columns(slice(a, a + BLOCK)))
-                fh.write("\n".join(map(",".join, zip(*values))) + "\n")
-        return
+    fast = n * (header.count(",") + 1) >= FAST_CSV_MIN_VALUES
     # a quarter block: the text takes about 20 bytes per value and is held
     # twice while it is edited; whole blocks raised the peak RSS of sample
     # at 200 000 rows from 51 to 68 MB
@@ -105,31 +98,33 @@ def _write_columns(path: str | Path, header: str, n: int, columns) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for a in range(0, n, rows):
-            fh.write(_format_rows(np.column_stack(columns(slice(a, a + rows)))))
+            fh.write(_format_rows(np.column_stack(columns(slice(a, a + rows))), fast))
             fh.write(b"\n")
 
 
-def _format_rows(chunk: np.ndarray) -> memoryview:
+def _format_rows(chunk: np.ndarray, fast: bool) -> memoryview:
     """The rows of a C-contiguous 2-d float array as CSV lines, without the last newline.
 
-    The function owns chunk and edits it.  The array is printed flat by one
-    orjson call, as "[v,v,...,v]"; in a writable copy of that text every
-    ncols-th comma becomes a newline, and the copy is returned without its
-    brackets.  orjson prints shortest round-trip digits, which are repr's
-    wherever repr writes plain decimal: at 0 and at 1e-4 <= |v| < 1e16.
-    Every other value (non-finite, 0 < |v| < 1e-4 or |v| >= 1e16, which
-    repr writes as nan, inf, 1.5e-05 or 1e+16, with no comma) is set to NaN
-    in chunk, and each null printed for one is replaced, in row-major
-    order, by repr(v); chunks without such a value skip that pass.
+    The array is printed flat as "[v,v,...,v]" by repr, or where fast by
+    one orjson call; every ncols-th comma of a writable copy of that text
+    becomes a newline, and the copy is returned without its brackets.
+    orjson prints shortest round-trip digits, repr's wherever repr writes
+    plain decimal: at 0 and at 1e-4 <= |v| < 1e16.  Where fast, every other
+    value (non-finite, 0 < |v| < 1e-4 or |v| >= 1e16, which repr writes as
+    nan, inf, 1.5e-05 or 1e+16, with no comma) is set to NaN in chunk, which
+    the function owns, and each null printed for one is replaced, in
+    row-major order, by repr(v); chunks without such a value skip that pass.
     """
-    import orjson  # in function scope: only large CSV writes pay its import
-
-    odd = ~(np.abs(chunk) < 1e16) | (np.abs(chunk) < 1e-4) & (chunk != 0.0)
-    patches = tuple(repr(v).encode() for v in chunk[odd].tolist())
-    chunk[odd] = np.nan
-    text = orjson.dumps(chunk.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
-    if patches:  # the digits, signs, dots and brackets that orjson prints hold no "%"
-        text = text.replace(b"null", b"%b") % patches
+    if fast:
+        import orjson  # in function scope: only large CSV writes pay its import
+        odd = ~(np.abs(chunk) < 1e16) | (np.abs(chunk) < 1e-4) & (chunk != 0.0)
+        patches = tuple(repr(v).encode() for v in chunk[odd].tolist())
+        chunk[odd] = np.nan
+        text = orjson.dumps(chunk.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        if patches:  # the digits, signs, dots and brackets that orjson prints hold no "%"
+            text = text.replace(b"null", b"%b") % patches
+    else:
+        text = ("[" + ",".join(map(repr, chunk.ravel().tolist())) + "]").encode()
     line = np.frombuffer(text, dtype=np.uint8).copy()
     del text
     line[np.flatnonzero(line == ord(","))[chunk.shape[1] - 1 :: chunk.shape[1]]] = ord("\n")
@@ -208,16 +203,22 @@ def lattice_bin_counts(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
     With h = sqrt(3) L / 2 and m from :func:`_lattice`, a point has lattice
     coordinates b = y m / h and a = x m / L - b / 2: row floor(b) and column
     floor(a) hold a lower and an upper triangle of side L / m, the upper one
-    where frac(a) + frac(b) >= 1.  An index off the table is clipped.
+    where frac(a) + frac(b) >= 1.  Coordinates off the table are clipped to
+    it; raises ValueError if a position is not finite.
     """
     m, a0, b0, cols, _, bins = _lattice(geom.shape)
     per_triangle = np.zeros(bins.size, dtype=np.intp)
-    for s in range(0, len(xy), BLOCK):  # b - b0 and a - a0 are >= 0 near the cell, where truncation floors
+    for s in range(0, len(xy), BLOCK):  # clipped, b - b0 and a - a0 are >= 0, where truncation floors
         b = xy[s : s + BLOCK, 1] * (m / (SQRT3 * geom.side / 2.0))
         b -= b0
         a = xy[s : s + BLOCK, 0] * (m / geom.side)
         a -= a0 + 0.5 * b0
-        a -= 0.5 * b
+        with np.errstate(invalid="ignore"):  # inf - inf where x and y are both infinite
+            a -= 0.5 * b
+        if not np.isfinite(a).all():  # a NaN or inf in x or y reaches a
+            raise ValueError("positions must be finite")
+        np.clip(b, 0.0, bins.size // (2 * cols), out=b)
+        np.clip(a, 0.0, cols, out=a)
         index = b.astype(np.intp)
         index *= 2 * cols - 1
         index += a.astype(np.intp)

@@ -312,6 +312,36 @@ print(seen)
     assert out.stdout.splitlines()[-1] == str(expected)
 
 
+SCIPY_BLOCKED_COMMANDS = [
+    ["presets"],
+    ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95", "--step", "1",
+     "--with-oracle", "--out", "oracle.csv"],
+    ["sample", "--side", "1000", "--count", "2000", "--out", "sample.csv"],
+    ["verify", "--side", "1000", "--count", "2000", "--report", "report.json", "--gnuplot"],
+]
+
+
+def test_series_and_cli_run_with_scipy_blocked(tmp_path):
+    # in a fresh interpreter where importing scipy fails: the series closed
+    # form at test_series_matches_quadrature_spec_point's parameters gives
+    # this interpreter's value, and every command exits 0
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdrop.__file__).resolve().parents[1]))
+    p = dict(scale=1.0, offset=0.5, slope=0.2, lo=-1.0, hi=2.0)
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from hexdrop import ArcsineGaussParams, arcsine_gauss_integral
+from hexdrop.cli import main
+print(repr(arcsine_gauss_integral(ArcsineGaussParams(**{p!r}), "series", tol=1e-13)))
+print([main(argv) for argv in {SCIPY_BLOCKED_COMMANDS!r}])
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    series = hexdrop.arcsine_gauss_integral(hexdrop.ArcsineGaussParams(**p), "series", tol=1e-13)
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == (repr(series), str([0] * len(SCIPY_BLOCKED_COMMANDS)))
+
+
 _GOOD_PRESET = {
     "name": "x", "alpha_prime_db": 34.5, "beta_db_per_decade": 35.0, "sigma_psi_db": 10.0,
     "r0_m": 35.0, "cell_radius_min_m": 600.0, "cell_radius_max_m": 3500.0, "model_label": "m",

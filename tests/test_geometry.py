@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ def test_point_in_shape_examples():
     tri = CellGeometry(CellShape.TRIANGLE60, 1.0)
     assert point_in_shape(tri, (0.5, SQRT3 / 2))  # apex vertex on the boundary
     assert not point_in_shape(tri, (0.5, SQRT3 / 2 + 1e-9))
+
+
+def test_point_in_shape_at_a_huge_side():
+    # the test runs in units of the side: at 1e200 no cross product overflows
+    L = 1e200
+    hexa = CellGeometry(CellShape.HEXAGON, L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert point_in_shape(hexa, (0.0, 0.0))
+        assert not point_in_shape(hexa, (1.001 * L, 0.0))
 
 
 def test_point_in_shape_vectorized():

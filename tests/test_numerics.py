@@ -17,6 +17,7 @@ from hexdrop.numerics import (
     GK_BATCH,
     MAX_DEPTH,
     _log_asin_taylor_coeff,
+    _log_erfc,
     _series_value,
     gauss_kronrod,
     q_function,
@@ -178,6 +179,21 @@ def _quad_reference(p, tol=1e-14):
     f = lambda x: math.exp(-x * x) * math.asin(min(1.0, p.scale * 10.0 ** (-(p.offset + p.slope * x))))
     val, err = integrate.quad(f, p.lo, p.hi, epsabs=tol, limit=500)
     return val
+
+
+LOG_ERFC_POINTS = [*np.linspace(0.0, 60.0, 601), math.nextafter(26.0, -math.inf), 26.0,
+                   math.nextafter(26.0, math.inf), 1e3, 1e5]
+
+
+def test_log_erfc_against_mpmath():
+    # math.erfc below 26 and the asymptotic series from 26 on, both within
+    # 1e-15 * max(1, s^2) of a 40-digit reference: rounding s^2 alone costs
+    # about 1.1e-16 * s^2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in map(float, LOG_ERFC_POINTS):
+            err = abs(mpmath.log(mpmath.erfc(s)) - _log_erfc(s))
+            assert err <= 1e-15 * max(1.0, s * s), s
 
 
 def test_zero_scale_gives_zero():

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,34 @@ def test_lattice_bin_counts_match_the_one_shot_formula_across_blocks(shape):
     counts = lattice_bin_counts(geom, pts)
     assert counts.sum() == ACROSS_BLOCKS
     assert np.array_equal(counts, np.bincount(bins[index], minlength=96))
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+                                 (math.inf, math.inf)])
+def test_lattice_bin_counts_reject_positions_that_are_not_finite(bad):
+    # in the last of three blocks: each block is checked
+    geom = CellGeometry("hexagon", 1000.0)
+    pts = sample_points(geom, VariateStream(7), ACROSS_BLOCKS)
+    pts[-1] = bad
+    with pytest.raises(ValueError, match="^positions must be finite$"):
+        lattice_bin_counts(geom, pts)
+    with pytest.raises(ValueError, match="^positions must be finite$"):
+        spatial_chi_square(geom, pts)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_lattice_bin_counts_clip_far_positions_without_a_warning(shape):
+    # coordinates of +-1e300 are clipped to the table before the cast to int,
+    # so they raise no "invalid value encountered in cast" and are counted
+    geom = CellGeometry(shape, 1000.0)
+    far = np.array([(1e300, 0.0), (-1e300, 0.0), (0.0, 1e300), (0.0, -1e300), (1e300, 1e300), (-1e300, -1e300)])
+    pts = np.concatenate([sample_points(geom, VariateStream(7), 1000), far])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = lattice_bin_counts(geom, pts)
+        res = spatial_chi_square(geom, pts)
+    assert counts.sum() == len(pts)
+    assert math.isfinite(res.statistic)
 
 
 @pytest.mark.parametrize("side", [300.0, 1000.0])
