@@ -287,28 +287,6 @@ def shadowed_pdf_conv_grid(model: DensityModel, l, tol: float = 1e-13) -> np.nda
     return np.where(np.isnan(l), np.nan, out)
 
 
-def exponent_merge_identity(model: DensityModel, l: float, tau: float) -> tuple[float, float]:
-    """Both sides of the square-completion step that merges the decade
-    exponential with the Gaussian kernel:
-
-        10^(2(l-tau-alpha)/beta) * exp(-tau^2 / (2 sigma^2))
-          = exp(2 ln10 (ln10 sigma^2 + beta (l-alpha)) / beta^2)
-            * exp(-(tau + 2 ln10 sigma^2 / beta)^2 / (2 sigma^2))
-
-    Returned as (lhs, rhs) so callers can assert their agreement.
-    """
-    p = model.pathloss
-    if not p.sigma_psi > 0.0:
-        raise ValueError("shadowing deviation must be positive")
-    sig2 = p.sigma_psi * p.sigma_psi
-    lhs = 10.0 ** (2.0 * (l - tau - p.alpha) / p.beta) * math.exp(-tau * tau / (2.0 * sig2))
-    shift = 2.0 * LN10 * sig2 / p.beta
-    rhs = math.exp(2.0 * LN10 * (LN10 * sig2 + p.beta * (l - p.alpha)) / (p.beta * p.beta)) * math.exp(
-        -((tau + shift) ** 2) / (2.0 * sig2)
-    )
-    return lhs, rhs
-
-
 @lru_cache(maxsize=8)
 def _cdf_table(model: DensityModel, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense cumulative table of the closed-form shadowed density.

@@ -42,9 +42,9 @@ class DropTable:
     Stored: xy, the (n, 2) array of positions that
     :func:`hexdrop.geometry.sample_points` returned (x in column 0, y in
     column 1), and the length-n columns w (mean loss, dB) and psi
-    (shadowing, dB).  Derived: r = hypot(x, y) and lp = w + psi, computed
-    anew on each access by the same expressions that :func:`run_drop`
-    uses, so a drop keeps four float columns in memory.
+    (shadowing, dB).  Derived: r = :func:`_radius` (x, y) and lp = w + psi,
+    computed anew on each access by the same expressions that
+    :func:`run_drop` uses, so a drop keeps four float columns in memory.
     """
 
     xy: np.ndarray
@@ -53,7 +53,7 @@ class DropTable:
 
     @property
     def r(self) -> np.ndarray:
-        return np.hypot(self.xy[:, 0], self.xy[:, 1])
+        return _radius(self.xy[:, 0], self.xy[:, 1])
 
     @property
     def lp(self) -> np.ndarray:
@@ -63,18 +63,33 @@ class DropTable:
         return len(self.xy)
 
 
-def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropTable:
-    """Drop n terminals and tabulate positions, r, mean loss, shadowing and loss.
+def _radius(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt(x^2 + y^2) of two columns, in units of 2^e, the power of two just above max(|x|, |y|).
 
-    The positions stay the (n, 2) array from sample_points.  Deterministic
-    for a fixed seed: the stream is consumed as n x-uniforms, n y-uniforms,
-    n normals.
+    Scaling by a power of two is exact, so r is np.sqrt(x*x + y*y) bit for
+    bit wherever that form neither overflows nor underflows, and r stays
+    finite at every side that check_side accepts.
+    """
+    e = math.frexp(max(np.max(np.abs(x), initial=0.0), np.max(np.abs(y), initial=0.0)))[1]
+    r, t = np.ldexp(x, -e), np.ldexp(y, -e)
+    r *= r
+    t *= t
+    r += t
+    return np.ldexp(np.sqrt(r, out=r), e, out=r)
+
+
+def run_drop(geom: CellGeometry, pl: PathLossParams, n: int, seed: int) -> DropTable:
+    """Drop n terminals and tabulate positions, mean loss and shadowing.
+
+    The positions stay the (n, 2) array from sample_points, and the mean
+    loss is taken at r = :func:`_radius` (x, y).  Deterministic for a fixed
+    seed: the stream is consumed as n x-uniforms, n y-uniforms, n normals.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     stream = VariateStream(seed)
     xy = sample_points(geom, stream, n)
-    w = mean_pathloss(pl, np.hypot(xy[:, 0], xy[:, 1]))
+    w = mean_pathloss(pl, _radius(xy[:, 0], xy[:, 1]))
     psi = pl.sigma_psi * stream.normals(n)
     return DropTable(xy=xy, w=w, psi=psi)
 
@@ -132,11 +147,11 @@ def _format_rows(chunk: np.ndarray, fast: bool) -> memoryview:
 
 
 def write_samples_csv(path: str | Path, table: DropTable) -> None:
-    """Write a drop as CSV rows x, y, r, w, psi, lp, with r and lp formed per chunk."""
+    """Write a drop as CSV rows x, y, r, w, psi, lp, with r and lp formed per chunk as DropTable forms them."""
 
     def columns(rows: slice) -> tuple:
         x, y, w, psi = table.xy[rows, 0], table.xy[rows, 1], table.w[rows], table.psi[rows]
-        return x, y, np.hypot(x, y), w, psi, w + psi
+        return x, y, _radius(x, y), w, psi, w + psi
 
     _write_columns(path, "x_m,y_m,r_m,w_db,psi_db,lp_db", len(table), columns)
 
@@ -203,21 +218,26 @@ def lattice_bin_counts(geom: CellGeometry, xy: np.ndarray) -> np.ndarray:
     With h = sqrt(3) L / 2 and m from :func:`_lattice`, a point has lattice
     coordinates b = y m / h and a = x m / L - b / 2: row floor(b) and column
     floor(a) hold a lower and an upper triangle of side L / m, the upper one
-    where frac(a) + frac(b) >= 1.  Coordinates off the table are clipped to
-    it; raises ValueError if a position is not finite.
+    where frac(a) + frac(b) >= 1.  Positions are scaled by 2^-k, 2^k the
+    power of two just above L, which is exact and keeps both factors finite
+    at every side.  Coordinates off the table or past the float range are
+    clipped to it; raises ValueError if a position is not finite.
     """
     m, a0, b0, cols, _, bins = _lattice(geom.shape)
+    unit, k = math.frexp(geom.side)  # L = unit 2^k
     per_triangle = np.zeros(bins.size, dtype=np.intp)
     for s in range(0, len(xy), BLOCK):  # clipped, b - b0 and a - a0 are >= 0, where truncation floors
-        b = xy[s : s + BLOCK, 1] * (m / (SQRT3 * geom.side / 2.0))
-        b -= b0
-        a = xy[s : s + BLOCK, 0] * (m / geom.side)
-        a -= a0 + 0.5 * b0
-        with np.errstate(invalid="ignore"):  # inf - inf where x and y are both infinite
-            a -= 0.5 * b
-        if not np.isfinite(a).all():  # a NaN or inf in x or y reaches a
+        if not np.isfinite(xy[s : s + BLOCK]).all():
             raise ValueError("positions must be finite")
-        np.clip(b, 0.0, bins.size // (2 * cols), out=b)
+        with np.errstate(over="ignore"):  # a far position may overflow to +-inf, which is clipped
+            b = np.ldexp(xy[s : s + BLOCK, 1], -k)
+            b *= m / (SQRT3 * unit / 2.0)
+            a = np.ldexp(xy[s : s + BLOCK, 0], -k)
+            a *= m / unit
+        b -= b0
+        np.clip(b, 0.0, bins.size // (2 * cols), out=b)  # before a takes b / 2, so no inf - inf
+        a -= a0 + 0.5 * b0
+        a -= 0.5 * b
         np.clip(a, 0.0, cols, out=a)
         index = b.astype(np.intp)
         index *= 2 * cols - 1
@@ -314,7 +334,7 @@ def run_verification(
     lp = np.empty(count)
     for a in range(0, count, BLOCK):
         rows = slice(a, a + BLOCK)
-        w = mean_pathloss(pl, np.hypot(xy[rows, 0], xy[rows, 1]))
+        w = mean_pathloss(pl, _radius(xy[rows, 0], xy[rows, 1]))
         lp[rows] = w + pl.sigma_psi * stream.normals(len(w))
     chi2 = spatial_chi_square(geom, xy)
     del xy

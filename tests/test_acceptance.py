@@ -31,10 +31,11 @@ from hexdrop import (
     shadowed_pdf_conv,
     spatial_chi_square,
 )
-from hexdrop.density import DensityModel, exponent_merge_identity
+from hexdrop.density import DensityModel
 from hexdrop.pathloss import PathLossParams
 
 from conftest import ALL_SHAPES, PRESET_CASES, preset_model
+from test_density import exponent_merge_identity
 from test_numerics import random_admissible
 from test_sampler import PIECES
 

@@ -204,7 +204,7 @@ def test_verify_warns_below_five_terminals_per_bin(tmp_path, capsys):
 GOLDEN = [
     (
         ["sample", "--side", "1000", "--count", "500", "--seed", "42", "--out", "sample.csv"],
-        {"sample.csv": "3cc39ea192689055091ac6bc40331c0b7da5fca33fb62a3ce14db43010d486ad"},
+        {"sample.csv": "0c0bc23c0fab7ddbc5f5c3a81c52249221d1de1af842de4cef585ffb48fb71ac"},
     ),
     (
         ["pdf", "--preset", "urban-macro", "--side", "1000", "--from", "120", "--to", "150",
@@ -221,7 +221,7 @@ GOLDEN = [
          "--report", "report.json"],
         {
             "report.json": "d64acdf0ce01da5b8a5a3c93eaab7e61368f4ab1e6f32236c44d8f21d38c52e0",
-            "report_samples.csv": "fd8884e624c126be75067675912a7bd1243b9e000628cb1ba0a132fd52d8d0cc",
+            "report_samples.csv": "3a053c2f36f169b039d3fde2725d3dcbdd8bd6c66c8099b9fb35b90a13f6ec4f",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
@@ -245,14 +245,14 @@ GOLDEN = [
     (
         ["sample", "--shape", "triangle60", "--side", "1000", "--count", "500", "--seed", "7",
          "--out", "sample.csv"],
-        {"sample.csv": "369e085c705b756df40cd19ce773e9cb0a5e5028a6a9a20b72e32adf38cbef48"},
+        {"sample.csv": "50ccdc1c3cd1005de45b4acf7ef2d9f51a03dcae62f95769a6907d7a27b1b7c3"},
     ),
     (
         ["verify", "--shape", "rhombus120", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
             "report.json": "6c4f7b9c6e7fe468ea677090bbf82b77fc6351c4bb37c24ca712371911d14a8b",
-            "report_samples.csv": "25dd7062d2e18f82bafad5d5fdbc674450c71ff39b9d9936685644715f93049d",
+            "report_samples.csv": "da3a2987d6cc4bffdb0eb33b0d02e7e1cc3c7225437eb1a07ac54d2ed05d9694",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
@@ -262,7 +262,7 @@ GOLDEN = [
          "--gnuplot", "--report", "report.json"],
         {
             "report.json": "67aa549e03c2e471c7bed62c1adf01d038e53c7f1fa485f88ed7cc08d6033fdf",
-            "report_samples.csv": "fef89412a92e11ca61d0e03aed84b836640181aed339955be98144441780ee5e",
+            "report_samples.csv": "ec161a8a2a733dc8b105c4d3e5268bbbce92d49775485e7ac908e5b7664a8c68",
             "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
@@ -402,6 +402,17 @@ def test_pdf_prefactor_overflow_is_usage_error(tmp_path, capsys, argv, max_loss)
 def test_pdf_infinite_side_is_usage_error(tmp_path, capsys):
     assert run(["pdf", "--side", "inf", "--force-radius", "--out", str(tmp_path / "d.csv")]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == "error: side must be positive and finite, got inf"
+
+
+def test_sample_at_a_huge_side_writes_finite_radii(tmp_path):
+    # x*x + y*y overflows at side 1e300; r is formed in units of a power of
+    # two, so every row stays finite and r agrees with hypot
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--side", "1e300", "--force-radius", "--count", "100", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (100, 6) and np.isfinite(rows).all()
+    hypot = np.hypot(rows[:, 0], rows[:, 1])
+    assert (np.abs(rows[:, 2] - hypot) <= 3e-16 * hypot).all()
 
 
 @pytest.mark.parametrize("side", ["inf", "nan", "-5"])

@@ -20,7 +20,6 @@ from hexdrop import (
 )
 from hexdrop.density import (
     _cdf_table,
-    exponent_merge_identity,
     shadowed_pdf_conv_grid,
     shadowed_pdf_grid,
 )
@@ -334,6 +333,28 @@ def test_degenerate_sigma_reduces_to_pathloss_pdf():
 
 
 # ------------------------------------------------------------ identity
+
+
+def exponent_merge_identity(model: DensityModel, l: float, tau: float) -> tuple[float, float]:
+    """Both sides of the square-completion step that merges the decade
+    exponential with the Gaussian kernel:
+
+        10^(2(l-tau-alpha)/beta) * exp(-tau^2 / (2 sigma^2))
+          = exp(2 ln10 (ln10 sigma^2 + beta (l-alpha)) / beta^2)
+            * exp(-(tau + 2 ln10 sigma^2 / beta)^2 / (2 sigma^2))
+
+    Returned as (lhs, rhs) so callers can assert their agreement.
+    """
+    p = model.pathloss
+    if not p.sigma_psi > 0.0:
+        raise ValueError("shadowing deviation must be positive")
+    sig2 = p.sigma_psi * p.sigma_psi
+    lhs = 10.0 ** (2.0 * (l - tau - p.alpha) / p.beta) * math.exp(-tau * tau / (2.0 * sig2))
+    shift = 2.0 * LN10 * sig2 / p.beta
+    rhs = math.exp(2.0 * LN10 * (LN10 * sig2 + p.beta * (l - p.alpha)) / (p.beta * p.beta)) * math.exp(
+        -((tau + shift) ** 2) / (2.0 * sig2)
+    )
+    return lhs, rhs
 
 
 def test_exponent_identity_at_zero_shift():

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -132,12 +133,44 @@ def test_run_drop_matches_one_shot_formulas_across_blocks(shape):
     x = sample_x(geom, stream.uniforms(n))
     lo, hi = chord_y_bounds(geom, x)
     y = lo + (hi - lo) * stream.uniforms(n)
-    r = np.hypot(x, y)
+    r = np.sqrt(x * x + y * y)
     lp = pl.alpha + pl.beta * np.log10(r / pl.r0) + pl.sigma_psi * stream.normals(n)
     t = run_drop(geom, pl, n, seed=5)
     assert np.array_equal(t.xy, np.column_stack([x, y]))
     assert np.array_equal(t.r, r)
     assert np.array_equal(t.lp, lp)
+
+
+@pytest.mark.parametrize("side", [1.0, 1000.0, 3500.0])
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_radius_is_the_plain_root_bit_for_bit(shape, side):
+    # scaling by a power of two is exact, so on a drop _radius is the
+    # unscaled np.sqrt(x*x + y*y) to the last bit, whole or block by block
+    xy = sample_points(CellGeometry(shape, side), VariateStream(9), ACROSS_BLOCKS)
+    x, y = xy[:, 0], xy[:, 1]
+    plain = np.sqrt(x * x + y * y)
+    assert np.array_equal(verify._radius(x, y), plain)
+    blocks = [verify._radius(x[a : a + BLOCK], y[a : a + BLOCK]) for a in range(0, len(x), BLOCK)]
+    assert np.array_equal(np.concatenate(blocks), plain)
+
+
+@pytest.mark.parametrize("side", [1e-300, 1e-310, 1e300, 1.03e308])
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_radius_is_accurate_and_finite_at_extreme_sides(shape, side):
+    # against a 50-digit reference, where x*x + y*y would underflow or
+    # overflow; at side 1e-310 r is subnormal, where doubles lie 2^-1074
+    # apart, far more than 3e-16 of r, so the bound adds that one step
+    with np.errstate(over="ignore"):  # chord_y_bounds' sqrt(3) (L - x) overflows at rhombus120, 1.03e308
+        xy = sample_points(CellGeometry(shape, side), VariateStream(4), 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = verify._radius(xy[:, 0], xy[:, 1])
+    assert np.isfinite(r).all() and (r > 0.0).all()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for (x, y), v in zip(xy.tolist(), r.tolist()):
+            ref = (Decimal(x) ** 2 + Decimal(y) ** 2).sqrt()
+            assert abs(Decimal(v) - ref) <= Decimal(3e-16) * ref + Decimal(math.ulp(0.0)), (x, y)
 
 
 def test_run_drop_rejects_empty():
@@ -359,6 +392,23 @@ def test_lattice_bin_counts_reject_positions_that_are_not_finite(bad):
         spatial_chi_square(geom, pts)
 
 
+@pytest.mark.parametrize("point", [(1e10, 0.0), (1e10, 1e10), (-1e10, -1e10)])
+def test_lattice_bin_counts_count_a_position_whose_coordinates_overflow(point):
+    # at side 1e-300 the lattice coordinates of these finite positions pass
+    # the float range; each is clipped to the table and counted once
+    geom = CellGeometry("hexagon", 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = lattice_bin_counts(geom, np.array([point]))
+    assert counts.sum() == 1
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1e10), (1e10, math.inf), (-math.inf, -1e10)])
+def test_lattice_bin_counts_reject_positions_that_are_not_finite_at_a_tiny_side(bad):
+    with pytest.raises(ValueError, match="^positions must be finite$"):
+        lattice_bin_counts(CellGeometry("hexagon", 1e-300), np.array([bad]))
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_lattice_bin_counts_clip_far_positions_without_a_warning(shape):
     # coordinates of +-1e300 are clipped to the table before the cast to int,
@@ -374,7 +424,7 @@ def test_lattice_bin_counts_clip_far_positions_without_a_warning(shape):
     assert math.isfinite(res.statistic)
 
 
-@pytest.mark.parametrize("side", [300.0, 1000.0])
+@pytest.mark.parametrize("side", [300.0, 1000.0, 1e-310, 1e300])
 @pytest.mark.parametrize(
     "shape, statistic",
     [(CellShape.HEXAGON, 85.8944), (CellShape.RHOMBUS120, 90.0608), (CellShape.TRIANGLE60, 80.288)],
