@@ -34,7 +34,19 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import check_side
-from .numerics import ArcsineGaussParams, arcsine_gauss_integral, gauss_kronrod, q_function
+from .numerics import (
+    _G7_WEIGHTS,
+    _GK_EDGES,
+    _GK_NODES,
+    _K15_WEIGHTS,
+    GK_BATCH,
+    GK_PANELS,
+    GK_ROUNDING,
+    ArcsineGaussParams,
+    arcsine_gauss_integral,
+    gauss_kronrod,
+    q_function,
+)
 from .pathloss import PathLossParams
 
 SQRT3 = math.sqrt(3.0)
@@ -161,26 +173,31 @@ def shadowed_pdf(model: DensityModel, l: float, tol: float = 1e-12) -> float:
         I    = int_{z_max/sqrt2}^{z_knee/sqrt2} exp(-v^2)
                * asin(sqrt(3) L / (2 r0 10^((mu - sqrt(2) sigma v)/beta))) dv
 
-    The integral runs through :func:`hexdrop.numerics.arcsine_gauss_integral`
-    by Gauss-Kronrod quadrature: the arcsine argument reaches 1 at the upper
-    limit, where the series closed form decays only polynomially.  The
-    integration window starts at max(z_max/sqrt2, -9.5) and ends at most
-    9.5 past max(start, 0): beyond that the Gaussian factor is below e^-90
-    of its largest value in the window, negligible next to the Q terms
-    however far into the upper tail, and the evaluation stays stable for
-    vanishing sigma.  Raises ValueError, naming l, sigma and beta, when mu
-    or K(l) leaves the floating-point range; NaN gives NaN.  A one-point
-    call of :func:`shadowed_pdf_grid`, which tabulates whole grids at once.
+    The integral runs by Gauss-Kronrod quadrature, as in
+    :func:`hexdrop.numerics.arcsine_gauss_integral`: the arcsine argument
+    reaches 1 at the upper limit, where the series closed form decays only
+    polynomially.  The integration window starts at max(z_max/sqrt2, -9.5)
+    and ends at most 9.5 past max(start, 0): beyond that the Gaussian factor
+    is below e^-90 of its largest value in the window, negligible next to
+    the Q terms however far into the upper tail, and the evaluation stays
+    stable for vanishing sigma.  Raises ValueError, naming l, sigma and
+    beta, when mu or K(l) leaves the floating-point range; NaN gives NaN.
+    A one-point call of :func:`shadowed_pdf_grid`, which tabulates whole
+    grids at once.
     """
     return float(shadowed_pdf_grid(model, [l], tol)[0])
 
 
 def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
     """:func:`shadowed_pdf` at each loss of the 1-D array l.  mu, K(l), z_max
-    and z_knee are formed for all points at once, and the integrals in one
-    call of :func:`hexdrop.numerics.arcsine_gauss_integral`.  The ValueError
-    names the first finite l whose mu or K(l) is not finite, with the error
-    that Python's float arithmetic meets there."""
+    and z_knee are formed for all points at once.  The integrals whose window
+    is the whole [z_max, z_knee]/sqrt2, unclipped by GAUSS_REACH, share one
+    first Gauss-Kronrod pass (:func:`_whole_window_pass`); the clipped ones,
+    and those with a panel that pass rejects, go to one call of
+    :func:`hexdrop.numerics.arcsine_gauss_integral` and its adaptive loop,
+    made even when no point needs it.  The ValueError names the first finite
+    l whose mu or K(l) is not finite, with the error that Python's float
+    arithmetic meets there."""
     p = model.pathloss
     sigma = p.sigma_psi
     if not sigma > 0.0:
@@ -211,10 +228,15 @@ def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
             ) from None
         z_max = (mu - p.beta * math.log10(model.side / p.r0)) / sigma
         z_knee = (mu - p.beta * math.log10(SQRT3 * model.side / (2.0 * p.r0))) / sigma
-        lo = np.maximum(z_max / math.sqrt(2.0), -GAUSS_REACH)
-        hi = np.minimum(z_knee / math.sqrt(2.0), np.maximum(lo, 0.0) + GAUSS_REACH)
+        bottom, top = z_max / math.sqrt(2.0), z_knee / math.sqrt(2.0)
+        lo = np.maximum(bottom, -GAUSS_REACH)
+        hi = np.minimum(top, np.maximum(lo, 0.0) + GAUSS_REACH)
         integral = np.zeros_like(l)
-        k = np.flatnonzero(hi > lo)
+        rest = hi > lo  # the windows left to the adaptive loop
+        whole = np.flatnonzero(rest & (lo == bottom) & (hi == top))
+        integral[whole], passed = _whole_window_pass(model, top[whole], tol)
+        rest[whole[passed]] = False
+        k = np.flatnonzero(rest)
         params = ArcsineGaussParams(
             SQRT3 * model.side / (2.0 * p.r0), mu[k] / p.beta, -math.sqrt(2.0) * sigma / p.beta, lo[k], hi[k]
         )
@@ -222,6 +244,48 @@ def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
         q_knee, q_max = (np.fromiter(map(q_function, z), float, l.size) for z in (z_knee, z_max))
         bracket = math.pi * q_knee - (2.0 * math.pi / 3.0) * q_max + (2.0 / math.sqrt(math.pi)) * integral
         return prefactor * bracket
+
+
+def _whole_window_pass(model: DensityModel, top: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first Gauss-Kronrod pass of the closed form's integral I over its
+    whole window [z_max, z_knee]/sqrt2, for the points whose window tops are
+    top = z_knee/sqrt2.
+
+    In the arcsine's own exponent t = mu/beta + slope*v, slope =
+    -sqrt2 sigma/beta, every such window is [t_knee, t_max] =
+    [log10(sqrt(3)L/(2 r0)), log10(L/r0)].  With t = t_knee + s^2, which
+    removes the square-root cusp at t_knee, I runs over s in
+    [0, sqrt(t_max - t_knee)] on the same GK_PANELS equal panels for every
+    point, so the factor 2s asin(min(sqrt(3)L/(2 r0) 10^-t, 1)) / |slope|
+    is formed once, on the 15 * GK_PANELS nodes, and each point multiplies
+    it by its Gaussian exp(-v^2), v = top + s^2/slope.  GK_BATCH points at a
+    time, so a block holds at most BLOCK values.  The nodes are the leading
+    axis, so each panel's K15 and G7 sums add the nodes in their order,
+    whatever the number of points.  Returns each point's K15 total and
+    whether every panel passed the first-round test of the adaptive loop:
+    |K - G| within tol/GK_PANELS or within GK_ROUNDING * |K|.
+    """
+    p = model.pathloss
+    slope = -math.sqrt(2.0) * p.sigma_psi / p.beta
+    scale = SQRT3 * model.side / (2.0 * p.r0)
+    t_knee = math.log10(scale)
+    edges = math.sqrt(math.log10(model.side / p.r0) - t_knee) * _GK_EDGES
+    half = 0.5 * (edges[1:] - edges[:-1])
+    s = (edges[:-1] + half) + half * _GK_NODES[:, None]  # node by panel
+    arc = (2.0 * s * np.arcsin(np.minimum(scale * 10.0 ** -(t_knee + s * s), 1.0)) / abs(slope))[:, :, None]
+    below = (s * s / slope)[:, :, None]
+    value, passed = np.empty(top.size), np.empty(top.size, dtype=bool)
+    for a in range(0, top.size, GK_BATCH):
+        rows = slice(a, a + GK_BATCH)
+        fx = below + top[rows]
+        np.square(fx, out=fx)
+        np.exp(np.negative(fx, out=fx), out=fx)
+        fx *= arc
+        kronrod = half[:, None] * (fx * _K15_WEIGHTS[:, None, None]).sum(axis=0)
+        err = np.abs(kronrod - half[:, None] * (fx * _G7_WEIGHTS[:, None, None]).sum(axis=0))
+        value[rows] = kronrod.sum(axis=0)
+        passed[rows] = ((err <= tol / GK_PANELS) | (err <= GK_ROUNDING * np.abs(kronrod))).all(axis=0)
+    return value, passed
 
 
 def shadowed_pdf_conv(model: DensityModel, l: float, tol: float = 1e-13) -> float:

@@ -103,7 +103,9 @@ def chord_y_bounds(geom: CellGeometry, x):
     elif geom.shape is CellShape.RHOMBUS120:
         # 0 - y, not -y: at x = +0.0 both operands are then +0.0, whichever one a tie keeps
         lo = np.maximum(0.0 - SQRT3 * x, 0.0)
-        hi = np.minimum(SQRT3 * (L - x), h)
+        # L - x reaches 1.5 L, where sqrt(3) (L - x) can overflow; capped at L,
+        # whose product check_side keeps finite, it still lies at or above h
+        hi = np.minimum(SQRT3 * np.minimum(L - x, L), h)
     else:
         hi = np.minimum(SQRT3 * (L - np.abs(x)), h)
         lo = -hi

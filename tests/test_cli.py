@@ -209,12 +209,12 @@ GOLDEN = [
     (
         ["pdf", "--preset", "urban-macro", "--side", "1000", "--from", "120", "--to", "150",
          "--step", "1", "--out", "pdf.csv"],
-        {"pdf.csv": "889b6b5fc3a5a836f40e253beea984ae2710d996f7613a7f16af5fe0f860853c"},
+        {"pdf.csv": "d6f4c0996cc35fc03233f25bc98c43878856e5b466b0683bbaff1ae708572afa"},
     ),
     (
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--out", "pdf.csv"],
-        {"pdf.csv": "1e3bb183ee4379e7a4b294c2522c4093477060141190a2a7bcad1d8224a6d627"},
+        {"pdf.csv": "98b3b18e5a29afff8058c36f1663007d6f98cebb211dc2827e875d2dd84ec967"},
     ),
     (
         ["verify", "--side", "1000", "--count", "2000", "--seed", "3", "--gnuplot",
@@ -222,7 +222,7 @@ GOLDEN = [
         {
             "report.json": "d64acdf0ce01da5b8a5a3c93eaab7e61368f4ab1e6f32236c44d8f21d38c52e0",
             "report_samples.csv": "3a053c2f36f169b039d3fde2725d3dcbdd8bd6c66c8099b9fb35b90a13f6ec4f",
-            "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
+            "report_curve.csv": "611510d8cf803ff594cd371624a85f8fd826e6876d86b6181fc7e8ba833f5026",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
@@ -230,7 +230,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--with-oracle", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "1e3bb183ee4379e7a4b294c2522c4093477060141190a2a7bcad1d8224a6d627",
+            "pdf.csv": "98b3b18e5a29afff8058c36f1663007d6f98cebb211dc2827e875d2dd84ec967",
             "pdf.csv.gp": "4b67b43ee2a4b9526e007a5db9345de59a164e0baee816b7831d21b2d0cc79de",
         },
     ),
@@ -238,7 +238,7 @@ GOLDEN = [
         ["pdf", "--preset", "urban-micro-los", "--side", "250", "--from", "85", "--to", "95",
          "--step", "1", "--gnuplot", "--out", "pdf.csv"],
         {
-            "pdf.csv": "d1ed39fcbfd22db83f2f41ee36891677506bd01ffd0eaf7546a75f6057a63e8c",
+            "pdf.csv": "6fe1d7f7154b77d01770e15a5236dbb7c32ad614ec670379e35a3925f1c21112",
             "pdf.csv.gp": "69998c9d5125a26045846dd5724b331278e5a6687618e9bc67a846f6f145b33e",
         },
     ),
@@ -251,9 +251,9 @@ GOLDEN = [
         ["verify", "--shape", "rhombus120", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "6c4f7b9c6e7fe468ea677090bbf82b77fc6351c4bb37c24ca712371911d14a8b",
+            "report.json": "229ff2e788b55359bb5f319d38d351f284994c8bc0c030f59ada559d651eb8b9",
             "report_samples.csv": "da3a2987d6cc4bffdb0eb33b0d02e7e1cc3c7225437eb1a07ac54d2ed05d9694",
-            "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
+            "report_curve.csv": "611510d8cf803ff594cd371624a85f8fd826e6876d86b6181fc7e8ba833f5026",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),
@@ -261,9 +261,9 @@ GOLDEN = [
         ["verify", "--shape", "triangle60", "--side", "1000", "--count", "2000", "--seed", "3",
          "--gnuplot", "--report", "report.json"],
         {
-            "report.json": "67aa549e03c2e471c7bed62c1adf01d038e53c7f1fa485f88ed7cc08d6033fdf",
+            "report.json": "205f4937ecf81dc1f1f2befb5c410876af757411c3c9d5ba4817f05cbd90b004",
             "report_samples.csv": "ec161a8a2a733dc8b105c4d3e5268bbbce92d49775485e7ac908e5b7664a8c68",
-            "report_curve.csv": "b8a17a3ac7f3ea39d2dfc344090664c755a44b775322cab57c7fa143f8502e51",
+            "report_curve.csv": "611510d8cf803ff594cd371624a85f8fd826e6876d86b6181fc7e8ba833f5026",
             "report.gp": "eb48bf548960d5ffe97254e4bccd04bbe300ea3375e83cfcca32fa174e2724b2",
         },
     ),

@@ -6,10 +6,12 @@ import pytest
 from scipy import integrate
 
 from hexdrop import (
+    ArcsineGaussParams,
     CellGeometry,
     CellShape,
     DensityModel,
     PathLossParams,
+    arcsine_gauss_integral,
     marginal_x_cdf,
     pathloss_pdf,
     radial_cdf,
@@ -19,7 +21,9 @@ from hexdrop import (
     shadowed_pdf_conv,
 )
 from hexdrop.density import (
+    GAUSS_REACH,
     _cdf_table,
+    _whole_window_pass,
     shadowed_pdf_conv_grid,
     shadowed_pdf_grid,
 )
@@ -463,6 +467,84 @@ def test_grid_matches_one_point_calls(name, side):
                        2 * GK_BATCH + 3)
     one = np.array([shadowed_pdf(m, float(l)) for l in grid])
     assert np.abs(shadowed_pdf_grid(m, grid) / one - 1.0).max() <= 2e-15
+
+
+def _sigma_model(name, side, sigma):
+    pre = preset_model(name, side).pathloss
+    return DensityModel(side, PathLossParams(pre.alpha, pre.beta, pre.r0, sigma))
+
+
+def _windows(m, grid):
+    """mu and the unclipped window ends z_max/sqrt2 and z_knee/sqrt2 of each
+    loss, formed as shadowed_pdf_grid forms them, and whether GAUSS_REACH
+    leaves the window whole."""
+    p = m.pathloss
+    mu = grid - p.alpha + 2.0 * LN10 * p.sigma_psi**2 / p.beta
+    bottom = (mu - p.beta * math.log10(m.side / p.r0)) / p.sigma_psi / math.sqrt(2.0)
+    top = (mu - p.beta * math.log10(SQRT3 * m.side / (2.0 * p.r0))) / p.sigma_psi / math.sqrt(2.0)
+    lo = np.maximum(bottom, -GAUSS_REACH)
+    whole = (lo == bottom) & (top <= np.maximum(lo, 0.0) + GAUSS_REACH)
+    return mu, bottom, top, whole
+
+
+def _losses_at(m, bottom):
+    """The losses whose window starts at z_max/sqrt2 = bottom."""
+    p = m.pathloss
+    shift = p.alpha - 2.0 * LN10 * p.sigma_psi**2 / p.beta + p.beta * math.log10(m.side / p.r0)
+    return shift + math.sqrt(2.0) * p.sigma_psi * np.asarray(bottom)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 4.0, 10.0])
+@pytest.mark.parametrize("name,side", PRESET_CASES)
+def test_whole_window_pass_matches_per_point_integrals(name, side, sigma):
+    # the shared first pass, in the arcsine's exponent, against the adaptive
+    # loop of arcsine_gauss_integral on each point's own window, over the
+    # default pdf range; at 0.1 dB the Gaussian is too narrow for 4 panels
+    # and the pass rejects every whole window
+    m = _sigma_model(name, side, sigma)
+    p = m.pathloss
+    grid = np.linspace(m.knee_loss_db - max(6.0 * sigma, 2.5 * p.beta), m.max_loss_db + 6.0 * sigma, 401)
+    mu, bottom, top, whole = _windows(m, grid)
+    value, passed = _whole_window_pass(m, top[whole], 1e-12)
+    assert whole.any() and passed.any() == (sigma > 0.1)
+    scale, slope = SQRT3 * side / (2.0 * p.r0), -math.sqrt(2.0) * sigma / p.beta
+    for v, u, a, b in zip(value[passed], mu[whole][passed], bottom[whole][passed], top[whole][passed]):
+        ref = arcsine_gauss_integral(ArcsineGaussParams(scale, u / p.beta, slope, a, b), tol=1e-12)
+        assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_rejected_whole_windows_match_quad_convolution():
+    # at sigma 0.1 dB the whole windows lie where z_max/sqrt2 is in [-9.5, -6];
+    # the shared pass rejects them all, and the adaptive loop gives the density
+    m = _sigma_model("urban-macro", 1000.0, 0.1)
+    grid = _losses_at(m, np.linspace(-9.4, -6.1, 12))
+    _, _, top, whole = _windows(m, grid)
+    assert whole.all() and not _whole_window_pass(m, top, 1e-12)[1].any()
+    ref = np.array([_quad_convolution(m, l) for l in grid])
+    assert shadowed_pdf_grid(m, grid) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma,fallback", [(4.0, 0), (0.1, 12)])
+def test_arcsine_gauss_integral_runs_once_per_grid(monkeypatch, sigma, fallback):
+    # once per call, with no element when the shared pass takes every point,
+    # so that a trace of the call always shows the adaptive loop
+    m = _sigma_model("urban-micro-los", 250.0, sigma)
+    grid = _losses_at(m, np.linspace(-9.4, -6.1, 12))
+    assert _windows(m, grid)[3].all()
+    sizes = []
+
+    def counted(params, **kwargs):
+        sizes.append(np.size(params.lo))
+        return arcsine_gauss_integral(params, **kwargs)
+
+    monkeypatch.setattr("hexdrop.density.arcsine_gauss_integral", counted)
+    shadowed_pdf_grid(m, grid)
+    assert sizes == [fallback]
+    clipped = _losses_at(m, -9.52)  # z_max/sqrt2 below -9.5, z_knee/sqrt2 above it
+    _, _, top, whole = _windows(m, np.array([clipped]))
+    assert top[0] > -GAUSS_REACH and not whole[0]
+    shadowed_pdf_grid(m, np.array([clipped, math.nan]))  # and a point with no window
+    assert sizes == [fallback, 1]
 
 
 def test_grid_overflow_names_the_first_point_out_of_range():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hexdrop import (
     sample_points,
     sample_x,
 )
-from hexdrop.geometry import chord_y_bounds, shape_vertices
+from hexdrop.geometry import check_side, chord_y_bounds, shape_vertices
 
 from conftest import ALL_SHAPES
 from test_geometry import _chord_from_edges, shoelace
@@ -200,6 +201,25 @@ def test_points_contained_and_scalar_path_agrees(shape):
     assert isinstance(x, float)
     assert (x, y) == tuple(sample_points(geom, VariateStream(9), 1)[0])
     assert point_in_shape(geom, (x, y))
+
+
+# the largest side whose sqrt(3) * side check_side keeps finite
+LARGEST_SIDE = 1.0378986153331002e308
+
+
+@pytest.mark.parametrize("side", [7e307, LARGEST_SIDE])
+def test_rhombus_drop_at_a_huge_side_warns_nothing(side):
+    # sqrt(3) (L - x) passes the float range near x = -L/2 from about 6.9e307;
+    # the upper chord bound caps L - x before that product
+    assert check_side(LARGEST_SIDE) == LARGEST_SIDE
+    with pytest.raises(ValueError, match="too large"):
+        check_side(math.nextafter(LARGEST_SIDE, math.inf))
+    geom = CellGeometry(CellShape.RHOMBUS120, side)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = sample_points(geom, VariateStream(4), 20_000)
+        assert chord_y_bounds(geom, -side / 2.0)[1] == SQRT3 * side / 2.0
+    assert np.isfinite(pts).all() and point_in_shape(geom, pts).all()
 
 
 def test_hexagon_statistics():

@@ -160,10 +160,9 @@ def test_radius_is_accurate_and_finite_at_extreme_sides(shape, side):
     # against a 50-digit reference, where x*x + y*y would underflow or
     # overflow; at side 1e-310 r is subnormal, where doubles lie 2^-1074
     # apart, far more than 3e-16 of r, so the bound adds that one step
-    with np.errstate(over="ignore"):  # chord_y_bounds' sqrt(3) (L - x) overflows at rhombus120, 1.03e308
-        xy = sample_points(CellGeometry(shape, side), VariateStream(4), 2000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        xy = sample_points(CellGeometry(shape, side), VariateStream(4), 2000)
         r = verify._radius(xy[:, 0], xy[:, 1])
     assert np.isfinite(r).all() and (r > 0.0).all()
     with localcontext() as ctx:
