@@ -241,7 +241,7 @@ def shadowed_pdf_grid(model: DensityModel, l, tol: float = 1e-12) -> np.ndarray:
             SQRT3 * model.side / (2.0 * p.r0), mu[k] / p.beta, -math.sqrt(2.0) * sigma / p.beta, lo[k], hi[k]
         )
         integral[k] = arcsine_gauss_integral(params, tol=tol)
-        q_knee, q_max = (np.fromiter(map(q_function, z), float, l.size) for z in (z_knee, z_max))
+        q_knee, q_max = q_function(z_knee), q_function(z_max)
         bracket = math.pi * q_knee - (2.0 * math.pi / 3.0) * q_max + (2.0 / math.sqrt(math.pi)) * integral
         return prefactor * bracket
 

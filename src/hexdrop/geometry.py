@@ -84,7 +84,7 @@ def shape_vertices(geom: CellGeometry) -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
-def chord_y_bounds(geom: CellGeometry, x):
+def chord_y_bounds(geom: CellGeometry, x, out=None):
     """Lower and upper y of the vertical chord at abscissa x.
 
     x may be a scalar or an array between the extreme vertex abscissae;
@@ -93,22 +93,32 @@ def chord_y_bounds(geom: CellGeometry, x):
     depends on x, and it equals the edge-by-edge bound bit for bit: rounding
     is monotone, and a flat edge's h = fl(sqrt(3) * (L/2)) is the value of
     the sloped edge's line where the two meet.
+
+    out, if given, is a pair (lo, hi) of float arrays of x's shape that
+    receive the bounds, as with a two-output numpy ufunc; each bound is
+    formed in place in its own array, so the call allocates nothing.
     """
     x = np.asarray(x, dtype=float)
+    lo, hi = (np.empty_like(x), np.empty_like(x)) if out is None else out
     L = geom.side
     h = SQRT3 * L / 2.0
     if geom.shape is CellShape.TRIANGLE60:
-        lo = np.zeros_like(x)
-        hi = SQRT3 * np.minimum(x, L - x)
+        lo.fill(0.0)
+        np.minimum(x, np.subtract(L, x, out=hi), out=hi)
+        hi *= SQRT3
     elif geom.shape is CellShape.RHOMBUS120:
         # 0 - y, not -y: at x = +0.0 both operands are then +0.0, whichever one a tie keeps
-        lo = np.maximum(0.0 - SQRT3 * x, 0.0)
+        np.maximum(np.subtract(0.0, np.multiply(SQRT3, x, out=lo), out=lo), 0.0, out=lo)
         # L - x reaches 1.5 L, where sqrt(3) (L - x) can overflow; capped at L,
         # whose product check_side keeps finite, it still lies at or above h
-        hi = np.minimum(SQRT3 * np.minimum(L - x, L), h)
+        np.minimum(np.subtract(L, x, out=hi), L, out=hi)
+        hi *= SQRT3
+        np.minimum(hi, h, out=hi)
     else:
-        hi = np.minimum(SQRT3 * (L - np.abs(x)), h)
-        lo = -hi
+        np.subtract(L, np.abs(x, out=hi), out=hi)
+        hi *= SQRT3
+        np.minimum(hi, h, out=hi)
+        np.negative(hi, out=lo)
     return lo, hi
 
 
@@ -134,7 +144,7 @@ def point_in_shape(geom: CellGeometry, p) -> bool | np.ndarray:
     return bool(inside[0]) if scalar else inside
 
 
-def sample_x(geom: CellGeometry, u):
+def sample_x(geom: CellGeometry, u, out=None):
     """Inverse marginal CDF of the x coordinate.
 
     Piecewise inverses (side L, variate u):
@@ -156,35 +166,49 @@ def sample_x(geom: CellGeometry, u):
     above it.
 
     Scalar or array u; raises ValueError outside the open unit interval.
+    out, if given, is a pair (x, work) of float arrays of u's shape: x is
+    formed in place in out[0], which is returned, while out[1] holds the
+    shared root and then the middle piece, so the call allocates no float
+    array, only the 1-byte masks.
     """
     arr = np.asarray(u, dtype=float)
-    if not ((arr > 0.0) & (arr < 1.0)).all():
+    if not (np.min(arr, initial=0.5) > 0.0 and np.max(arr, initial=0.5) < 1.0):  # NaN fails both
         raise ValueError("uniform variate must lie strictly inside (0, 1)")
     L = geom.side
-    # the factor under the outer pieces' root, the two junctions, the lower
-    # piece as a function of that root and the middle piece as one of u
-    c, a, b, lower, middle = {
-        CellShape.TRIANGLE60: (0.5, 0.5, 0.5, lambda r: L * r, None),
-        CellShape.RHOMBUS120: (
-            1.0, 0.25, 0.75, lambda r: (L / 2.0) * (2.0 * r - 1.0), lambda v: L * (v - 0.25)
-        ),
-        CellShape.HEXAGON: (
-            1.5, 1.0 / 6.0, 5.0 / 6.0, lambda r: L * (r - 1.0), lambda v: 0.75 * L * (2.0 * v - 1.0)
-        ),
+    # the factor under the outer pieces' root and the two junctions
+    c, a, b = {
+        CellShape.TRIANGLE60: (0.5, 0.5, 0.5),
+        CellShape.RHOMBUS120: (1.0, 0.25, 0.75),
+        CellShape.HEXAGON: (1.5, 1.0 / 6.0, 5.0 / 6.0),
     }[geom.shape]
     v = np.atleast_1d(arr)
-    r = np.minimum(v, 1.0 - v)
+    x, r = (np.empty_like(v), np.empty_like(v)) if out is None else out
+    np.minimum(v, np.subtract(1.0, v, out=r), out=r)
     r *= c
     np.sqrt(r, out=r)
-    x = lower(r)
+    # the lower piece as a function of the root
+    if geom.shape is CellShape.TRIANGLE60:
+        np.multiply(L, r, out=x)  # L r
+    elif geom.shape is CellShape.RHOMBUS120:
+        np.subtract(np.multiply(2.0, r, out=x), 1.0, out=x)  # (L/2)(2r - 1)
+        x *= L / 2.0
+    else:
+        np.subtract(r, 1.0, out=x)  # L (r - 1)
+        x *= L
     x *= v <= a
     np.subtract(1.0, r, out=r)  # the upper piece, L * (1 - r), for every shape
     r *= L
     r *= v > b
     x += r
-    if middle is not None:
-        r = middle(v)
-        r *= (v > a) & (v <= b)
+    if geom.shape is not CellShape.TRIANGLE60:  # the middle piece, a function of u
+        if geom.shape is CellShape.RHOMBUS120:
+            np.subtract(v, 0.25, out=r)  # L (u - 1/4)
+            r *= L
+        else:
+            np.subtract(np.multiply(2.0, v, out=r), 1.0, out=r)  # (3L/4)(2u - 1)
+            r *= 0.75 * L
+        r *= v > a  # a product by each mask has the bits of one by their conjunction
+        r *= v <= b
         x += r
     return float(x[0]) if np.ndim(u) == 0 else x
 
@@ -194,20 +218,26 @@ def sample_points(geom: CellGeometry, stream: VariateStream, n: int) -> np.ndarr
     :func:`sample_x`, then y = lo + (hi - lo) * u on the chord at x from n
     y-uniforms, drawn in that order so that a seed fixes the result.
 
-    Each column is filled BLOCK rows at a time, and the x-uniforms are
-    freed before the y-uniforms are drawn.
+    Each column is filled BLOCK rows at a time.  A block's uniforms are
+    drawn into one buffer, and the kernels work in two more (out=), all
+    three allocated once per call, so the call holds three blocks beside
+    the result.  Each block's :meth:`VariateStream.uniforms` call redraws
+    its own exact zeros (probability 2**-53 per draw), so the positions
+    differ from those of two n-draw calls only where a zero is drawn.
     """
-    u = stream.uniforms(n)
-    xy = np.empty((len(u), 2))
-    for a in range(0, len(u), BLOCK):
-        rows = slice(a, a + BLOCK)
-        xy[rows, 0] = sample_x(geom, u[rows])
-    del u
-    u = stream.uniforms(n)
-    for a in range(0, len(u), BLOCK):
-        rows = slice(a, a + BLOCK)
-        lo, hi = chord_y_bounds(geom, xy[rows, 0])
-        xy[rows, 1] = lo + (hi - lo) * u[rows]
+    xy = np.empty((n, 2))
+    m = min(n, BLOCK)
+    u, w1, w2 = np.empty(m), np.empty(m), np.empty(m)
+    for s in range(0, n, BLOCK):
+        k = min(BLOCK, n - s)
+        xy[s : s + k, 0] = sample_x(geom, stream.uniforms(k, out=u[:k]), out=(w1[:k], w2[:k]))
+    for s in range(0, n, BLOCK):
+        k = min(BLOCK, n - s)
+        lo, hi = chord_y_bounds(geom, xy[s : s + k, 0], out=(w1[:k], w2[:k]))
+        hi -= lo
+        hi *= stream.uniforms(k, out=u[:k])
+        hi += lo  # lo + (hi - lo) u
+        xy[s : s + k, 1] = hi
     return xy
 
 

@@ -69,9 +69,16 @@ class SeriesDivergenceError(NonConvergenceError):
     """The series did not reach its tolerance within SERIES_MAX_TERMS terms."""
 
 
-def q_function(x: float) -> float:
-    """Standard normal tail probability Q(x) = erfc(x/sqrt(2)) / 2."""
-    return 0.5 * math.erfc(x / SQRT2)
+def q_function(x):
+    """Standard normal tail probability Q(x) = erfc(x/sqrt(2)) / 2 of a float, or of each element of an array.
+
+    An array's erfc values come from one C-level map of math.erfc over the
+    list of its x/sqrt(2), so each equals the float's Q bit for bit.
+    """
+    if np.ndim(x) == 0:
+        return 0.5 * math.erfc(x / SQRT2)
+    z = np.asarray(x, dtype=float) / SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def _adapt(f, a: np.ndarray, b: np.ndarray, share: np.ndarray, owner: np.ndarray) -> np.ndarray:

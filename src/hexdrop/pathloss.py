@@ -46,14 +46,19 @@ class PathLossParams:
         return cls(alpha_prime + beta * math.log10(r0), beta, r0, sigma_psi)
 
 
-def mean_pathloss(params: PathLossParams, r):
+def mean_pathloss(params: PathLossParams, r, out=None):
     """Mean loss alpha + beta*log10(r/r0) in dB; strictly increasing in r.
 
     r may be scalar or array, in metres.  Distances below r0 extrapolate
-    the same formula.
+    the same formula.  out, if given, is a float array of r's shape that
+    receives the loss; it may be r itself, which then turns from distances
+    into losses, and the call allocates nothing.
     """
     arr = np.asarray(r, dtype=float)
-    if not (arr > 0.0).all():
+    if not np.min(arr, initial=np.inf) > 0.0:  # NaN fails too
         raise ValueError("distance must be positive")
-    w = params.alpha + params.beta * np.log10(arr / params.r0)
+    w = np.divide(arr, params.r0, out=np.empty_like(arr) if out is None else out)
+    np.log10(w, out=w)
+    w *= params.beta
+    w += params.alpha
     return float(w) if np.ndim(r) == 0 else w

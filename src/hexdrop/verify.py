@@ -63,16 +63,23 @@ class DropTable:
         return len(self.xy)
 
 
-def _radius(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _radius(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """sqrt(x^2 + y^2) of two columns, in units of 2^e, the power of two just above max(|x|, |y|).
 
     Scaling by a power of two is exact, so r is np.sqrt(x*x + y*y) bit for
     bit wherever that form neither overflows nor underflows, and r stays
-    finite at every side that check_side accepts.
+    finite at every side that check_side accepts.  out, if given, is a pair
+    (r, work) of float arrays of x's shape: r is formed in out[0], which is
+    returned, from |x| there, and work holds |y| and its scaled square, so
+    the call allocates nothing.
     """
-    e = math.frexp(max(np.max(np.abs(x), initial=0.0), np.max(np.abs(y), initial=0.0)))[1]
-    r, t = np.ldexp(x, -e), np.ldexp(y, -e)
+    r, t = (np.empty_like(x), np.empty_like(y)) if out is None else out
+    np.abs(x, out=r)
+    np.abs(y, out=t)
+    e = math.frexp(max(np.max(r, initial=0.0), np.max(t, initial=0.0)))[1]
+    np.ldexp(r, -e, out=r)  # |x| 2^-e, whose square is that of x 2^-e
     r *= r
+    np.ldexp(t, -e, out=t)
     t *= t
     r += t
     return np.ldexp(np.sqrt(r, out=r), e, out=r)
@@ -169,17 +176,24 @@ def ks_test(samples: np.ndarray, cdf) -> KsResult:
     statistic = sup |empirical CDF - cdf|, critical = 1.628/sqrt(n)
     (asymptotic), passed = statistic < critical.  ``cdf`` is called on
     contiguous slices of the sorted sample, BLOCK values at a time, and
-    must return one value per element of its argument.
+    must return one value per element of its argument.  A float64 array
+    ``samples`` is sorted in place, which saves a copy of it; pass a copy
+    to keep its order.
     """
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = np.asarray(samples, dtype=float)
+    s.sort()
     n = len(s)
     if n == 0:
         raise ValueError("samples must be nonempty")
+    steps = np.arange(min(n, BLOCK) + 1, dtype=float)
+    q, gap = np.empty(len(steps)), np.empty(len(steps) - 1)  # block buffers
     d = []  # D+ and D- of each block
     for a in range(0, n, BLOCK):
         f = np.asarray(cdf(s[a : a + BLOCK]), dtype=float)
-        q = np.arange(a, min(a + BLOCK, n) + 1) / n  # (i - 1)/n and i/n for i = a + 1, ...
-        d += [np.max(q[1:] - f), np.max(f - q[:-1])]
+        k = len(f)
+        np.add(steps[: k + 1], a, out=q[: k + 1])  # (i - 1)/n and i/n for i = a + 1, ...: exact integers,
+        q[: k + 1] /= n  # then divided once, as np.arange(a, a + k + 1) / n is
+        d += [np.max(np.subtract(q[1 : k + 1], f, out=gap[:k])), np.max(np.subtract(f, q[:k], out=gap[:k]))]
     statistic = float(np.max(d))
     critical = KS_COEFF_001_LEVEL / math.sqrt(n)
     return KsResult(statistic=statistic, critical=critical, passed=statistic < critical)
@@ -323,8 +337,12 @@ def run_verification(
     The stream is consumed as in :func:`run_drop` (count x-uniforms, count
     y-uniforms, count normals), so the losses are run_drop(...).lp bit for
     bit, but no DropTable is built: lp is filled BLOCK rows at a time from
-    the positions, and the positions are freed before the KS test sorts
-    its copy of lp.  At most three float columns per terminal are alive.
+    the positions, and the positions are freed before the KS test sorts lp
+    in place.  Each block's r is formed in one block buffer, with the
+    block's slice of lp as _radius's work array, and the block's normals
+    are drawn into that slice and scaled and shifted there, so the loop
+    allocates nothing per block.  At most three float columns per terminal
+    are alive.
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
@@ -332,10 +350,15 @@ def run_verification(
     stream = VariateStream(seed)
     xy = sample_points(geom, stream, count)
     lp = np.empty(count)
+    r = np.empty(min(count, BLOCK))
     for a in range(0, count, BLOCK):
         rows = slice(a, a + BLOCK)
-        w = mean_pathloss(pl, _radius(xy[rows, 0], xy[rows, 1]))
-        lp[rows] = w + pl.sigma_psi * stream.normals(len(w))
+        z = lp[rows]
+        w = _radius(xy[rows, 0], xy[rows, 1], out=(r[: len(z)], z))
+        mean_pathloss(pl, w, out=w)
+        stream.normals(len(z), out=z)
+        z *= pl.sigma_psi
+        z += w  # w + sigma psi
     chi2 = spatial_chi_square(geom, xy)
     del xy
     ks = ks_test(lp, lambda v: shadowed_cdf(model, v))

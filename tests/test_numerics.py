@@ -40,6 +40,14 @@ def test_q_five_percent_point():
     assert q_function(1.6448536269514722) == pytest.approx(0.05, abs=1e-7)
 
 
+def test_q_of_an_array_is_the_float_q_bit_for_bit():
+    z = np.concatenate([np.random.default_rng(6).normal(size=2000) * 10.0, [0.0, -0.0, 1e-300, 40.0, np.inf, -np.inf]])
+    q = q_function(z)
+    assert np.array_equal(q.view(np.int64), np.array([q_function(float(v)) for v in z]).view(np.int64))
+    assert np.array_equal(q_function(z.reshape(2, -1)), q.reshape(2, -1))
+    assert type(q_function(np.float64(1.5))) is float
+
+
 def test_q_matches_normal_tail_quadrature():
     phi = lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     for x in np.linspace(-6.0, 6.0, 25):

@@ -44,6 +44,20 @@ def test_uniforms_redraw_exact_zeros():
     assert u.all()
 
 
+def test_draws_into_reused_buffers_continue_the_stream():
+    # blocks drawn into one reused buffer hold the values of one whole call
+    whole, blocks = VariateStream(8), VariateStream(8)
+    u, z = whole.uniforms(1000), whole.normals(1000)
+    buf = np.empty(400)
+    for draw, expected in ((blocks.uniforms, u), (blocks.normals, z)):
+        got = []
+        for k in (400, 400, 200):
+            into = draw(k, out=buf[:k])
+            assert np.shares_memory(into, buf) and len(into) == k
+            got.append(into.copy())
+        assert np.array_equal(np.concatenate(got), expected)
+
+
 def test_normal_moments():
     z = VariateStream(11).normals(200_000)
     n = len(z)

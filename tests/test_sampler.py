@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from hexdrop import (
     sample_points,
     sample_x,
 )
-from hexdrop.geometry import check_side, chord_y_bounds, shape_vertices
+from hexdrop.geometry import BLOCK, check_side, chord_y_bounds, shape_vertices
 
 from conftest import ALL_SHAPES
 from test_geometry import _chord_from_edges, shoelace
@@ -122,6 +123,39 @@ def test_branch_free_kernels_are_bit_identical_to_the_piecewise_formulas(shape, 
     for v in np.concatenate([vertices, [0.0, -0.0, side / 2.0, -side / 2.0]]):
         for new, ref in zip(chord_y_bounds(geom, float(v)), _reference_bounds(shape, side, np.array([v]))):
             assert np.ndim(new) == 0 and _bits(new) == _bits(ref)[0]
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_kernels_give_the_same_bits_into_out_buffers(shape):
+    # out= changes only where a kernel forms its result
+    geom = CellGeometry(shape, 1000.0)
+    u = np.concatenate([VariateStream(3).uniforms(5000), JUNCTIONS, np.nextafter(JUNCTIONS, 0.0)])
+    pair = np.full(len(u), np.nan), np.full(len(u), np.nan)
+    x = sample_x(geom, u)
+    into = sample_x(geom, u, out=pair)
+    assert into is pair[0] and np.array_equal(_bits(into), _bits(x))
+    lo, hi = chord_y_bounds(geom, x)
+    into = chord_y_bounds(geom, x, out=pair)
+    assert into[0] is pair[0] and into[1] is pair[1]
+    assert np.array_equal(_bits(into[0]), _bits(lo)) and np.array_equal(_bits(into[1]), _bits(hi))
+    for i in (0, 1, 5000, len(u) - 1):
+        assert _bits(sample_x(geom, float(u[i]))) == _bits(x)[i]
+        assert [_bits(v) for v in chord_y_bounds(geom, float(x[i]))] == [_bits(lo)[i], _bits(hi)[i]]
+
+
+@pytest.mark.parametrize("n", [3 * BLOCK + 7, 10 * BLOCK])
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_sample_points_holds_a_fixed_number_of_blocks(shape, n):
+    # beside the 16 n bytes of positions, a drop holds its three block
+    # buffers and a 1-byte mask (3.26 blocks measured), whatever n is
+    geom = CellGeometry(shape, 1000.0)
+    tracemalloc.start()
+    try:
+        sample_points(geom, VariateStream(1), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 16 * n <= 4 * 8 * BLOCK, f"{(peak - 16 * n) / (8 * BLOCK):.2f} blocks"
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)

@@ -23,6 +23,7 @@ from hexdrop import (
 import hexdrop.geometry as geometry
 import hexdrop.verify as verify
 from hexdrop.geometry import BLOCK, SQRT3, chord_y_bounds, sample_x, shape_vertices
+from hexdrop.pathloss import mean_pathloss
 from hexdrop.verify import (
     FAST_CSV_MIN_VALUES,
     VerifyReport,
@@ -172,6 +173,104 @@ def test_radius_is_accurate_and_finite_at_extreme_sides(shape, side):
             assert abs(Decimal(v) - ref) <= Decimal(3e-16) * ref + Decimal(math.ulp(0.0)), (x, y)
 
 
+def test_radius_and_mean_loss_give_the_same_bits_into_out_buffers():
+    geom, pl = _macro()
+    xy = sample_points(geom, VariateStream(9), ACROSS_BLOCKS)
+    r = verify._radius(xy[:, 0], xy[:, 1])
+    pair = np.full(ACROSS_BLOCKS, np.nan), np.full(ACROSS_BLOCKS, np.nan)
+    into = verify._radius(xy[:, 0], xy[:, 1], out=pair)
+    assert into is pair[0] and np.array_equal(into, r)
+    w = mean_pathloss(pl, r)
+    # the radius buffer turns into the loss in place
+    assert mean_pathloss(pl, into, out=into) is into and np.array_equal(into, w)
+    for i in (0, BLOCK, ACROSS_BLOCKS - 1):
+        assert mean_pathloss(pl, float(r[i])) == w[i]
+
+
+def _stream_with_zeros(zeros: dict, used: list, drawn: list):
+    """A VariateStream whose k-th call to the generator's random() returns an
+    exact 0.0 at lane zeros[k]; the values each uniforms() call returns go
+    to used and those random() returns to drawn."""
+
+    class Stream(VariateStream):
+        def __init__(self, seed):
+            super().__init__(seed)
+            real = self._rng
+
+            class ZerosAt:
+                def random(self, k, out=None):
+                    u = real.random(k, out=out)
+                    if len(drawn) in zeros:
+                        u[zeros[len(drawn)]] = 0.0
+                    drawn.append(u.copy())
+                    return u
+
+                def standard_normal(self, k, out=None):
+                    return real.standard_normal(k, out=out)
+
+            self._rng = ZerosAt()
+
+        def uniforms(self, n, out=None):
+            u = super().uniforms(n, out=out)
+            used.append(u.copy())
+            return u
+
+    return Stream
+
+
+def test_exact_zeros_inside_a_block_are_redrawn_from_the_stream(monkeypatch):
+    # an exact 0.0 has probability 2**-53 per draw, so a stub generator puts
+    # one at lane 5 of the second x-block (call 1) and one at lane 9 of the
+    # third y-block (call 7); each block's uniforms() call redraws its own
+    n = 3 * BLOCK + 7
+    geom = CellGeometry(CellShape.RHOMBUS120, 1000.0)
+    model = preset_model("suburban-macro", 1000.0)
+    used, drawn, inverted = [], [], []
+
+    def checked_sample_x(geom, u, out=None):
+        inverted.append(float(np.min(u)))
+        return sample_x(geom, u, out=out)
+
+    monkeypatch.setattr(geometry, "sample_x", checked_sample_x)
+    monkeypatch.setattr(verify, "VariateStream", _stream_with_zeros({1: 5, 7: 9}, used, drawn))
+    table = run_drop(geom, model.pathloss, n, seed=11)
+    # the x-blocks, then the y-blocks, each zero redrawn by the next call
+    assert [len(u) for u in drawn] == [BLOCK, BLOCK, 1, BLOCK, 7, BLOCK, BLOCK, BLOCK, 1, 7]
+    assert drawn[1][5] == 0.0 and drawn[7][9] == 0.0
+    assert len(inverted) == 4 and min(inverted) > 0.0  # no 0 reaches sample_x
+    # every nonzero draw is used once, and only once
+    pool = np.concatenate(drawn)
+    assert np.array_equal(np.sort(np.concatenate(used)), np.sort(pool[pool != 0.0]))
+    assert table.xy[BLOCK + 5, 0] == sample_x(geom, drawn[2][0])
+    row = 2 * BLOCK + 9
+    lo, hi = chord_y_bounds(geom, table.xy[row, 0])
+    assert table.xy[row, 1] == lo + (hi - lo) * drawn[8][0]
+    # the drop is deterministic, and run_verification sees the same one
+    used.clear()
+    drawn.clear()
+    again = run_drop(geom, model.pathloss, n, seed=11)
+    assert np.array_equal(again.xy, table.xy) and np.array_equal(again.lp, table.lp)
+    tested, ranked = [], []
+
+    def chi_square(geom, xy):
+        tested.append(xy.copy())
+        return spatial_chi_square(geom, xy)
+
+    def ks(samples, cdf):
+        result = ks_test(samples, cdf)
+        ranked.append(samples.copy())
+        return result
+
+    monkeypatch.setattr(verify, "spatial_chi_square", chi_square)
+    monkeypatch.setattr(verify, "ks_test", ks)
+    used.clear()
+    drawn.clear()
+    report = run_verification(geom, model, "suburban-macro", n, seed=11)
+    assert np.array_equal(tested[0], table.xy)
+    assert np.array_equal(ranked[0], np.sort(table.lp))
+    assert report.ks_statistic == ks_test(table.lp, lambda v: shadowed_cdf(model, v)).statistic
+
+
 def test_run_drop_rejects_empty():
     geom, pl = _macro()
     with pytest.raises(ValueError):
@@ -294,6 +393,14 @@ def test_ks_statistic_matches_one_shot_across_blocks():
     f = special.ndtr(s)
     i = np.arange(1, n + 1)
     assert res.statistic == max(np.max(i / n - f), np.max(f - (i - 1) / n))
+
+
+def test_ks_sorts_its_array_in_place():
+    samples = VariateStream(6).normals(ACROSS_BLOCKS)
+    ordered = np.sort(samples)
+    res = ks_test(samples, special.ndtr)
+    assert np.array_equal(samples, ordered)
+    assert res == ks_test(ordered.copy(), special.ndtr)
 
 
 def test_ks_rejects_empty():
@@ -441,8 +548,8 @@ def test_spatial_chi_square_rejects_a_short_chord(shape, monkeypatch):
     # bins that invert the sampler's own transform read 74.4 here and pass
     true_bounds = geometry.chord_y_bounds
 
-    def short(geom, x):
-        lo, hi = true_bounds(geom, x)
+    def short(geom, x, out=None):
+        lo, hi = true_bounds(geom, x, out=out)
         return lo, lo + 0.97 * (hi - lo)
 
     for module in (geometry, verify):
@@ -549,9 +656,9 @@ def test_seed_sweep_false_rejection_rate():
 def test_run_verification_peak_memory_is_at_most_three_and_a_half_columns():
     # no drop table is built: the positions (x, y) and the loss column lp
     # are the only n-length arrays while lp is filled and the bins run; the
-    # positions are freed before the KS test adds lp's sorted copy, and
-    # every pass works in blocks, so the peak is three columns plus a few
-    # blocks (3.33 columns measured)
+    # positions are freed before the KS test sorts lp in place, and every
+    # pass works in blocks, so the peak is three columns plus a few blocks
+    # (3.33 columns measured, while the bins run)
     geom = CellGeometry(CellShape.RHOMBUS120, 1000.0)
     model = preset_model("suburban-macro", 1000.0)
     # build the cached CDF table and the shape's bin table outside the trace
